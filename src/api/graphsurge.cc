@@ -1,9 +1,13 @@
 #include "api/graphsurge.h"
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
 #include <iomanip>
 #include <sstream>
 
+#include "algorithms/algorithms.h"
 #include "common/crash_dump.h"
 #include "differential/arrcache.h"
 #include "common/introspect.h"
@@ -29,6 +33,112 @@ const Graphsurge* g_profilez_system = nullptr;
 /// scopes must never alias another instance's (live or destroyed), even for
 /// graphs with equal names at equal epochs.
 std::atomic<uint64_t> g_next_instance_id{1};
+
+std::string ToLower(std::string s) {
+  for (char& c : s) c = static_cast<char>(std::tolower(c));
+  return s;
+}
+
+bool ParseUint(const std::string& s, uint64_t* out) {
+  if (s.empty()) return false;
+  for (char c : s) {
+    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
+  }
+  errno = 0;
+  *out = std::strtoull(s.c_str(), nullptr, 10);
+  return errno != ERANGE;
+}
+
+std::vector<std::string> SplitTokens(const std::string& text) {
+  std::vector<std::string> tokens;
+  std::istringstream in(text);
+  std::string token;
+  while (in >> token) tokens.push_back(token);
+  return tokens;
+}
+
+std::vector<std::string> SplitOn(const std::string& s, char sep) {
+  std::vector<std::string> parts;
+  size_t begin = 0;
+  for (;;) {
+    size_t end = s.find(sep, begin);
+    if (end == std::string::npos) {
+      parts.push_back(s.substr(begin));
+      return parts;
+    }
+    parts.push_back(s.substr(begin, end - begin));
+    begin = end + 1;
+  }
+}
+
+/// Builds the computation named by `spec` ("name" or "name(args)").
+StatusOr<std::unique_ptr<analytics::Computation>> MakeComputation(
+    const std::string& spec) {
+  std::string name = spec;
+  std::string args;
+  size_t paren = spec.find('(');
+  if (paren != std::string::npos) {
+    if (spec.back() != ')') {
+      return Status::InvalidArgument("malformed algorithm spec: " + spec);
+    }
+    name = spec.substr(0, paren);
+    args = spec.substr(paren + 1, spec.size() - paren - 2);
+  }
+  name = ToLower(name);
+  auto need_source = [&]() -> StatusOr<uint64_t> {
+    uint64_t source = 0;
+    if (!ParseUint(args, &source)) {
+      return Status::InvalidArgument(name + " requires a numeric source: " +
+                                     spec);
+    }
+    return source;
+  };
+  if ((name == "wcc" || name == "scc") && !args.empty()) {
+    return Status::InvalidArgument(name + " takes no arguments");
+  }
+  std::unique_ptr<analytics::Computation> c;
+  if (name == "wcc") {
+    c = std::make_unique<analytics::Wcc>();
+  } else if (name == "scc") {
+    c = std::make_unique<analytics::Scc>();
+  } else if (name == "pagerank") {
+    uint64_t iters = 10;
+    if (!args.empty() && (!ParseUint(args, &iters) || iters == 0)) {
+      return Status::InvalidArgument(
+          "pagerank takes a positive iteration count");
+    }
+    c = std::make_unique<analytics::PageRank>(static_cast<uint32_t>(iters));
+  } else if (name == "bfs") {
+    GS_ASSIGN_OR_RETURN(uint64_t source, need_source());
+    c = std::make_unique<analytics::Bfs>(source);
+  } else if (name == "bellman-ford" || name == "bellmanford" ||
+             name == "sssp") {
+    GS_ASSIGN_OR_RETURN(uint64_t source, need_source());
+    c = std::make_unique<analytics::BellmanFord>(source);
+  } else if (name == "mpsp") {
+    std::vector<std::pair<VertexId, VertexId>> pairs;
+    for (const std::string& pair_spec : SplitOn(args, ',')) {
+      std::vector<std::string> ends = SplitOn(pair_spec, ':');
+      uint64_t src = 0;
+      uint64_t dst = 0;
+      if (ends.size() != 2 || !ParseUint(ends[0], &src) ||
+          !ParseUint(ends[1], &dst)) {
+        return Status::InvalidArgument(
+            "mpsp takes src:dst pairs, e.g. mpsp(0:5,2:7)");
+      }
+      pairs.emplace_back(src, dst);
+    }
+    if (pairs.empty()) {
+      return Status::InvalidArgument("mpsp requires at least one src:dst");
+    }
+    c = std::make_unique<analytics::Mpsp>(std::move(pairs));
+  } else {
+    return Status::InvalidArgument(
+        "unknown algorithm '" + name +
+        "' (expected wcc, scc, pagerank, bfs, bellman-ford, or mpsp)");
+  }
+  return c;
+}
 
 }  // namespace
 
@@ -81,15 +191,34 @@ std::string Graphsurge::CacheScopeFor(const std::string& graph_name,
 
 std::string Graphsurge::ArrangementCacheScope(
     const std::string& graph_name) const {
-  auto it = graphs_.find(graph_name);
+  auto it = root_.graphs_.find(graph_name);
   const uint64_t epoch =
-      it == graphs_.end() ? 0 : it->second.mutation_epoch();
+      it == root_.graphs_.end() ? 0 : it->second.mutation_epoch();
   return CacheScopeFor(graph_name, epoch);
 }
 
-Status Graphsurge::CheckNameFree(const std::string& name) const {
-  if (graphs_.count(name) || collections_.count(name) ||
-      aggregate_views_.count(name)) {
+StatusOr<const PropertyGraph*> Graphsurge::FindGraph(
+    const Session& s, const std::string& name) const {
+  for (const Session* ns : {&s, &root_}) {
+    auto it = ns->graphs_.find(name);
+    if (it != ns->graphs_.end()) return &it->second;
+  }
+  return Status::NotFound("no graph or view named '" + name + "'");
+}
+
+StatusOr<const views::MaterializedCollection*> Graphsurge::FindCollection(
+    const Session& s, const std::string& name) const {
+  auto it = s.collections_.find(name);
+  if (it == s.collections_.end()) {
+    return Status::NotFound("no view collection named '" + name + "'");
+  }
+  return &it->second;
+}
+
+Status Graphsurge::CheckNameFree(const Session& s,
+                                 const std::string& name) const {
+  if (s.graphs_.count(name) || s.collections_.count(name) ||
+      s.aggregate_views_.count(name) || root_.graphs_.count(name)) {
     return Status::AlreadyExists("name '" + name + "' is already in use");
   }
   return Status::Ok();
@@ -98,78 +227,160 @@ Status Graphsurge::CheckNameFree(const std::string& name) const {
 Status Graphsurge::LoadGraphCsv(const std::string& name,
                                 const std::string& nodes_path,
                                 const std::string& edges_path) {
-  GS_RETURN_IF_ERROR(CheckNameFree(name));
+  GS_RETURN_IF_ERROR(CheckNameFree(root_, name));
   GS_ASSIGN_OR_RETURN(PropertyGraph graph,
                       LoadGraphFromCsv(nodes_path, edges_path));
-  graphs_.emplace(name, std::move(graph));
+  root_.graphs_.emplace(name, std::move(graph));
   return Status::Ok();
 }
 
 Status Graphsurge::AddGraph(const std::string& name, PropertyGraph graph) {
-  GS_RETURN_IF_ERROR(CheckNameFree(name));
+  GS_RETURN_IF_ERROR(CheckNameFree(root_, name));
   GS_RETURN_IF_ERROR(graph.Validate());
-  graphs_.emplace(name, std::move(graph));
+  root_.graphs_.emplace(name, std::move(graph));
   return Status::Ok();
 }
 
 StatusOr<const PropertyGraph*> Graphsurge::GetGraph(
     const std::string& name) const {
-  auto it = graphs_.find(name);
-  if (it == graphs_.end()) {
-    return Status::NotFound("no graph or view named '" + name + "'");
-  }
-  return &it->second;
+  return FindGraph(root_, name);
 }
 
 Status Graphsurge::Execute(const std::string& gvdl) {
+  GS_ASSIGN_OR_RETURN(StatementResult result, Execute(&root_, gvdl));
+  if (!result.plan.empty()) GS_LOG(Info) << "EXPLAIN\n" << result.plan;
+  return Status::Ok();
+}
+
+StatusOr<StatementResult> Graphsurge::Execute(
+    Session* session, const std::string& statement) const {
+  const std::vector<std::string> tokens = SplitTokens(statement);
+  const std::string head = tokens.empty() ? "" : ToLower(tokens[0]);
+  if (head == "run") return ExecuteRun(session, tokens);
+  StatementResult result;
+  if (head == "get" && tokens.size() >= 2 &&
+      ToLower(tokens[1]) == "results") {
+    result.kind = StatementResult::Kind::kResults;
+    return result;
+  }
+  GS_RETURN_IF_ERROR(ExecuteGvdl(session, statement, &result));
+  return result;
+}
+
+Status Graphsurge::ExecuteGvdl(Session* s, const std::string& script,
+                               StatementResult* out) const {
   GS_ASSIGN_OR_RETURN(std::vector<gvdl::Statement> statements,
-                      gvdl::ParseScript(gvdl));
+                      gvdl::ParseScript(script));
   for (const gvdl::Statement& statement : statements) {
     if (const auto* fv = std::get_if<gvdl::FilteredViewDef>(&statement)) {
-      GS_RETURN_IF_ERROR(CheckNameFree(fv->name));
-      GS_ASSIGN_OR_RETURN(const PropertyGraph* base, GetGraph(fv->on));
+      GS_RETURN_IF_ERROR(CheckNameFree(*s, fv->name));
+      GS_ASSIGN_OR_RETURN(const PropertyGraph* base, FindGraph(*s, fv->on));
       GS_ASSIGN_OR_RETURN(
           PropertyGraph view,
           views::MaterializeFilteredView(*base, fv->predicate, pool_.get()));
-      graphs_.emplace(fv->name, std::move(view));
+      s->graphs_.emplace(fv->name, std::move(view));
+      out->created.push_back(fv->name);
     } else if (const auto* vc =
                    std::get_if<gvdl::ViewCollectionDef>(&statement)) {
-      GS_RETURN_IF_ERROR(CheckNameFree(vc->name));
-      GS_ASSIGN_OR_RETURN(const PropertyGraph* base, GetGraph(vc->on));
+      GS_RETURN_IF_ERROR(CheckNameFree(*s, vc->name));
+      GS_ASSIGN_OR_RETURN(const PropertyGraph* base, FindGraph(*s, vc->on));
       views::MaterializeOptions mopts;
       mopts.use_ordering = options_.order_collections;
       mopts.pool = pool_.get();
       GS_ASSIGN_OR_RETURN(views::MaterializedCollection mc,
                           views::MaterializeCollection(*base, *vc, mopts));
-      collections_.emplace(vc->name, std::move(mc));
+      s->collections_.emplace(vc->name, std::move(mc));
+      out->created.push_back(vc->name);
     } else if (const auto* av =
                    std::get_if<gvdl::AggregateViewDef>(&statement)) {
-      GS_RETURN_IF_ERROR(CheckNameFree(av->name));
-      GS_ASSIGN_OR_RETURN(const PropertyGraph* base, GetGraph(av->on));
+      GS_RETURN_IF_ERROR(CheckNameFree(*s, av->name));
+      GS_ASSIGN_OR_RETURN(const PropertyGraph* base, FindGraph(*s, av->on));
       GS_ASSIGN_OR_RETURN(agg::AggregateView result,
                           agg::ComputeAggregateView(*base, *av, pool_.get()));
-      aggregate_views_.emplace(av->name, std::move(result));
+      s->aggregate_views_.emplace(av->name, std::move(result));
+      out->created.push_back(av->name);
     } else if (const auto* ex = std::get_if<gvdl::ExplainDef>(&statement)) {
-      GS_ASSIGN_OR_RETURN(std::string text, ExplainCollection(ex->target));
-      GS_LOG(Info) << "EXPLAIN " << ex->target << "\n" << text;
+      GS_ASSIGN_OR_RETURN(std::string text, ExplainCollection(*s, ex->target));
+      out->plan += text;
     }
   }
   return Status::Ok();
 }
 
+StatusOr<StatementResult> Graphsurge::ExecuteRun(
+    Session* s, const std::vector<std::string>& tokens) const {
+  // run <algorithm> on <target> [weight <column>] — the algorithm spec may
+  // contain spaces inside its parentheses ("mpsp(0:5, 2:7)"), so tokens up
+  // to the ON keyword are joined with whitespace removed.
+  size_t on_index = 0;
+  for (size_t i = 1; i < tokens.size(); ++i) {
+    if (ToLower(tokens[i]) == "on") {
+      on_index = i;
+      break;
+    }
+  }
+  if (on_index < 2 || on_index + 1 >= tokens.size()) {
+    return Status::InvalidArgument(
+        "expected: run <algorithm> on <target> [weight <column>]");
+  }
+  std::string spec;
+  for (size_t i = 1; i < on_index; ++i) spec += tokens[i];
+  const std::string& target = tokens[on_index + 1];
+  views::ExecutionOptions options;
+  if (on_index + 2 < tokens.size()) {
+    uint64_t column = 0;
+    if (ToLower(tokens[on_index + 2]) != "weight" ||
+        on_index + 4 != tokens.size() ||
+        !ParseUint(tokens[on_index + 3], &column)) {
+      return Status::InvalidArgument(
+          "trailing tokens; expected: weight <column number>");
+    }
+    options.weight_column = static_cast<int>(column);
+  }
+  GS_ASSIGN_OR_RETURN(std::unique_ptr<analytics::Computation> computation,
+                      MakeComputation(spec));
+  options.dataflow.num_workers = options_.num_workers;
+  options.capture_results = true;
+
+  s->last_target_.clear();
+  s->last_results_.clear();
+  StatementResult result;
+  result.kind = StatementResult::Kind::kRun;
+  result.algorithm = computation->name();
+  result.target = target;
+  auto collection = s->collections_.find(target);
+  if (collection != s->collections_.end()) {
+    GS_ASSIGN_OR_RETURN(
+        views::ExecutionResult run,
+        RunCollection(*s, *computation, target, std::move(options)));
+    const views::MaterializedCollection& mc = collection->second;
+    for (size_t t = 0; t < mc.num_views(); ++t) {
+      s->last_results_.emplace_back(mc.view_names[t],
+                                    t < run.results.size()
+                                        ? std::move(run.results[t])
+                                        : analytics::ResultMap());
+    }
+    result.views = mc.num_views();
+  } else {
+    GS_ASSIGN_OR_RETURN(
+        analytics::ResultMap values,
+        RunGraph(*s, *computation, target, std::move(options)));
+    s->last_results_.emplace_back(target, std::move(values));
+    result.views = 1;
+  }
+  s->last_target_ = target;
+  return result;
+}
+
 StatusOr<const views::MaterializedCollection*> Graphsurge::GetCollection(
     const std::string& name) const {
-  auto it = collections_.find(name);
-  if (it == collections_.end()) {
-    return Status::NotFound("no view collection named '" + name + "'");
-  }
-  return &it->second;
+  return FindCollection(root_, name);
 }
 
 StatusOr<const agg::AggregateView*> Graphsurge::GetAggregateView(
     const std::string& name) const {
-  auto it = aggregate_views_.find(name);
-  if (it == aggregate_views_.end()) {
+  auto it = root_.aggregate_views_.find(name);
+  if (it == root_.aggregate_views_.end()) {
     return Status::NotFound("no aggregate view named '" + name + "'");
   }
   return &it->second;
@@ -180,7 +391,7 @@ Status Graphsurge::CreateCollection(
     const std::vector<std::string>& view_names,
     const std::vector<std::function<bool(EdgeId)>>& predicates,
     const views::MaterializeOptions* materialize_options) {
-  GS_RETURN_IF_ERROR(CheckNameFree(name));
+  GS_RETURN_IF_ERROR(CheckNameFree(root_, name));
   GS_ASSIGN_OR_RETURN(const PropertyGraph* base, GetGraph(base_graph));
   views::MaterializeOptions mopts;
   if (materialize_options != nullptr) {
@@ -194,7 +405,7 @@ Status Graphsurge::CreateCollection(
       views::MaterializeCollectionWith(*base, name, view_names, predicates,
                                        mopts));
   mc.base_graph = base_graph;
-  collections_.emplace(name, std::move(mc));
+  root_.collections_.emplace(name, std::move(mc));
   return Status::Ok();
 }
 
@@ -202,23 +413,34 @@ StatusOr<views::ExecutionResult> Graphsurge::RunComputation(
     const analytics::Computation& computation,
     const std::string& collection_name,
     views::ExecutionOptions options) const {
+  return RunCollection(root_, computation, collection_name,
+                       std::move(options));
+}
+
+StatusOr<views::ExecutionResult> Graphsurge::RunCollection(
+    const Session& s, const analytics::Computation& computation,
+    const std::string& name, views::ExecutionOptions options) const {
   GS_ASSIGN_OR_RETURN(const views::MaterializedCollection* collection,
-                      GetCollection(collection_name));
+                      FindCollection(s, name));
   GS_ASSIGN_OR_RETURN(const PropertyGraph* base,
-                      GetGraph(collection->base_graph));
+                      FindGraph(s, collection->base_graph));
   if (options.dataflow.num_workers == 0) {
     options.dataflow.num_workers = options_.num_workers;
   }
   StatusOr<views::ExecutionResult> result =
       views::RunOnCollection(computation, *base, *collection, options);
   if (result.ok()) {
-    // Keep the run's metadata (not the captured results — those can be the
-    // size of the collection) for Profile() and Explain().
-    views::ExecutionResult trimmed = result.value();
-    trimmed.results.clear();
+    // Keep the run's metadata for Profile() and Explain(), not the captured
+    // results: those can be the size of the collection, so they are moved
+    // aside for the copy rather than copied.
+    std::vector<analytics::ResultMap> results =
+        std::move(result.value().results);
+    views::ExecutionResult metadata = result.value();
+    result.value().results = std::move(results);
+    std::string profile = metadata.Profile();
     std::lock_guard<std::mutex> lock(run_state_mutex_);
-    last_run_profile_ = trimmed.Profile();
-    last_runs_[collection_name] = std::move(trimmed);
+    last_run_profile_ = std::move(profile);
+    s.last_runs_[name] = std::move(metadata);
   }
   return result;
 }
@@ -251,21 +473,21 @@ StatusOr<std::string> Graphsurge::Explain(const std::string& target) const {
     }
     name = ex->target;
   }
-  return ExplainCollection(name);
+  return ExplainCollection(root_, name);
 }
 
 StatusOr<std::string> Graphsurge::ExplainCollection(
-    const std::string& name) const {
+    const Session& s, const std::string& name) const {
   GS_ASSIGN_OR_RETURN(const views::MaterializedCollection* collection,
-                      GetCollection(name));
+                      FindCollection(s, name));
 
   // Snapshot the last run for this collection, if any.
   bool has_run = false;
   views::ExecutionResult run;
   {
     std::lock_guard<std::mutex> lock(run_state_mutex_);
-    auto it = last_runs_.find(name);
-    if (it != last_runs_.end()) {
+    auto it = s.last_runs_.find(name);
+    if (it != s.last_runs_.end()) {
       has_run = true;
       run = it->second;
     }
@@ -354,11 +576,20 @@ StatusOr<std::string> Graphsurge::ExplainCollection(
 StatusOr<analytics::ResultMap> Graphsurge::RunOnView(
     const analytics::Computation& computation, const std::string& name,
     views::ExecutionOptions options) const {
-  GS_ASSIGN_OR_RETURN(const PropertyGraph* graph, GetGraph(name));
+  return RunGraph(root_, computation, name, std::move(options));
+}
+
+StatusOr<analytics::ResultMap> Graphsurge::RunGraph(
+    const Session& s, const analytics::Computation& computation,
+    const std::string& name, views::ExecutionOptions options) const {
+  GS_ASSIGN_OR_RETURN(const PropertyGraph* graph, FindGraph(s, name));
   if (options.dataflow.num_workers == 0) {
     options.dataflow.num_workers = options_.num_workers;
   }
-  if (options.arrangement_cache_scope.empty()) {
+  // Only the system's graphs share cached arrangements: a scope keyed by a
+  // session view's name would alias same-named views of other sessions.
+  const bool shared = &s == &root_ || s.graphs_.count(name) == 0;
+  if (shared && options.arrangement_cache_scope.empty()) {
     options.arrangement_cache_scope =
         CacheScopeFor(name, graph->mutation_epoch());
   }
@@ -368,8 +599,8 @@ StatusOr<analytics::ResultMap> Graphsurge::RunOnView(
 // --- Streaming ingest ------------------------------------------------------
 
 StatusOr<PropertyGraph*> Graphsurge::GetMutableGraph(const std::string& name) {
-  auto it = graphs_.find(name);
-  if (it == graphs_.end()) {
+  auto it = root_.graphs_.find(name);
+  if (it == root_.graphs_.end()) {
     return Status::NotFound("no graph named '" + name + "'");
   }
   return &it->second;
@@ -389,7 +620,7 @@ Status Graphsurge::ApplyBatchInternal(const std::string& graph_name,
 
   // Maintain every collection over this graph before advancing its live
   // runs: LiveRun::AdvanceEpoch requires the refreshed collection.
-  for (auto& [name, mc] : collections_) {
+  for (auto& [name, mc] : root_.collections_) {
     if (mc.base_graph != graph_name) continue;
     if (!mc.maintainable()) {
       GS_LOG(Warning) << "collection '" << name
@@ -507,7 +738,7 @@ void Graphsurge::RefreshIngestStatus() {
   std::ostringstream out;
   out << "{\"graphs\":{";
   bool first = true;
-  for (const auto& [name, graph] : graphs_) {
+  for (const auto& [name, graph] : root_.graphs_) {
     // Only graphs on the ingest path (mutated or WAL-attached) are listed.
     if (graph.mutation_epoch() == 0 && wals_.count(name) == 0) continue;
     if (!first) out << ",";
@@ -541,13 +772,13 @@ void Graphsurge::RefreshIngestStatus() {
 
 std::vector<std::string> Graphsurge::GraphNames() const {
   std::vector<std::string> names;
-  for (const auto& [name, _] : graphs_) names.push_back(name);
+  for (const auto& [name, _] : root_.graphs_) names.push_back(name);
   return names;
 }
 
 std::vector<std::string> Graphsurge::CollectionNames() const {
   std::vector<std::string> names;
-  for (const auto& [name, _] : collections_) names.push_back(name);
+  for (const auto& [name, _] : root_.collections_) names.push_back(name);
   return names;
 }
 

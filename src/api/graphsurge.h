@@ -17,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "agg/aggregate_view.h"
@@ -46,12 +47,58 @@ struct GraphsurgeOptions {
   bool order_collections = false;
 };
 
+/// What one statement run by Graphsurge::Execute(Session*, ...) did.
+struct StatementResult {
+  enum class Kind {
+    kDefinitions,  // GVDL: create view [collection | ... aggregate], explain
+    kRun,          // run <algorithm> on <target> [weight <column>]
+    kResults,      // get results: read Session::last_results()
+  };
+  Kind kind = Kind::kDefinitions;
+  /// kDefinitions: the names created, in statement order, and the plan text
+  /// of every `explain` statement.
+  std::vector<std::string> created;
+  std::string plan;
+  /// kRun: the computation's name, the target, and how many views it ran.
+  std::string algorithm;
+  std::string target;
+  size_t views = 0;
+};
+
 /// The top-level system. Owns loaded graphs, materialized filtered views
 /// (as subgraphs), aggregate views, and view collections. All names share
 /// one namespace, as in the paper's GVDL (`on` may reference any graph or
 /// materialized filtered view).
 class Graphsurge {
  public:
+  /// A private statement namespace: the filtered views, view collections
+  /// and aggregate views its statements create, the last run per
+  /// collection (for explain), and the last run's results. Name lookups
+  /// fall back to the system's graphs. A session is not thread-safe;
+  /// distinct sessions may execute concurrently while the system's graphs
+  /// stay unchanged.
+  class Session {
+   public:
+    const std::string& last_target() const { return last_target_; }
+    /// (view name, vertex→value) per view of the last run, in execution
+    /// order.
+    const std::vector<std::pair<std::string, analytics::ResultMap>>&
+    last_results() const {
+      return last_results_;
+    }
+
+   private:
+    friend class Graphsurge;
+    std::map<std::string, PropertyGraph> graphs_;
+    std::map<std::string, views::MaterializedCollection> collections_;
+    std::map<std::string, agg::AggregateView> aggregate_views_;
+    /// Last ExecutionResult per collection, without its captured results.
+    /// Guarded by Graphsurge::run_state_mutex_: const runs write it.
+    mutable std::map<std::string, views::ExecutionResult> last_runs_;
+    std::string last_target_;
+    std::vector<std::pair<std::string, analytics::ResultMap>> last_results_;
+  };
+
   explicit Graphsurge(GraphsurgeOptions options = GraphsurgeOptions());
   ~Graphsurge();
 
@@ -64,11 +111,24 @@ class Graphsurge {
   Status AddGraph(const std::string& name, PropertyGraph graph);
   StatusOr<const PropertyGraph*> GetGraph(const std::string& name) const;
 
-  // --- GVDL ---------------------------------------------------------------
-  /// Executes one or more GVDL statements: materializes filtered views (as
-  /// subgraphs usable in later `on` clauses), view collections, and
-  /// aggregate views.
+  // --- Statements ----------------------------------------------------------
+  /// Execute(session, gvdl) on the system's own namespace: materializes
+  /// filtered views (as subgraphs usable in later `on` clauses), view
+  /// collections, and aggregate views; logs explain plans.
   Status Execute(const std::string& gvdl);
+
+  /// Executes one statement in `session`:
+  ///   create view ... / create view collection ... / explain <collection>
+  ///       GVDL (a script of several statements is allowed)
+  ///   run <algorithm> on <target> [weight <column>]
+  ///       <algorithm> is wcc | scc | pagerank[(iters)] | bfs(src) |
+  ///       bellman-ford(src) | mpsp(s:d[,s:d...]); <target> is a session
+  ///       collection (every view) or a session view or system graph.
+  ///   get results
+  /// Runs on the system's graphs share arrangements through
+  /// ArrangementCacheScope; runs on session views never use the cache.
+  StatusOr<StatementResult> Execute(Session* session,
+                                    const std::string& statement) const;
 
   StatusOr<const views::MaterializedCollection*> GetCollection(
       const std::string& name) const;
@@ -172,10 +232,27 @@ class Graphsurge {
   std::vector<std::string> CollectionNames() const;
 
  private:
-  Status CheckNameFree(const std::string& name) const;
+  /// Lookups in `s`; graphs fall back to the system's own namespace.
+  StatusOr<const PropertyGraph*> FindGraph(const Session& s,
+                                           const std::string& name) const;
+  StatusOr<const views::MaterializedCollection*> FindCollection(
+      const Session& s, const std::string& name) const;
+  Status CheckNameFree(const Session& s, const std::string& name) const;
   std::string CacheScopeFor(const std::string& graph_name,
                             uint64_t epoch) const;
-  StatusOr<std::string> ExplainCollection(const std::string& name) const;
+  /// Materializes each GVDL statement of `script` into `s`.
+  Status ExecuteGvdl(Session* s, const std::string& script,
+                     StatementResult* out) const;
+  StatusOr<StatementResult> ExecuteRun(
+      Session* s, const std::vector<std::string>& tokens) const;
+  StatusOr<views::ExecutionResult> RunCollection(
+      const Session& s, const analytics::Computation& computation,
+      const std::string& name, views::ExecutionOptions options) const;
+  StatusOr<analytics::ResultMap> RunGraph(
+      const Session& s, const analytics::Computation& computation,
+      const std::string& name, views::ExecutionOptions options) const;
+  StatusOr<std::string> ExplainCollection(const Session& s,
+                                          const std::string& name) const;
   /// Non-const lookup for the ingest path (ApplyMutations mutates graphs).
   StatusOr<PropertyGraph*> GetMutableGraph(const std::string& name);
   /// Applies one batch end-to-end (no WAL append): graph, collections, live
@@ -191,19 +268,17 @@ class Graphsurge {
   /// scope this system creates.
   uint64_t instance_id_;
   std::unique_ptr<ThreadPool> pool_;
-  /// Guards the cached run reports below: the status server's /profilez
-  /// scrapes them from its own thread while RunComputation replaces them.
+  /// Guards the cached run reports (this and every Session::last_runs_):
+  /// the status server's /profilez scrapes them from its own thread while
+  /// runs replace them.
   mutable std::mutex run_state_mutex_;
-  /// Per-view table of the last RunComputation (RunComputation is logically
-  /// const — it mutates no stored graph or collection — so the cached
-  /// reports are the one mutable bit).
+  /// Per-view table of the last collection run (runs are logically const —
+  /// they mutate no stored graph or collection — so the cached reports are
+  /// the one mutable bit).
   mutable std::string last_run_profile_;
-  /// Last ExecutionResult per collection (results vector cleared — only the
-  /// run metadata is kept), feeding Explain()'s estimated-vs-actual table.
-  mutable std::map<std::string, views::ExecutionResult> last_runs_;
-  std::map<std::string, PropertyGraph> graphs_;
-  std::map<std::string, views::MaterializedCollection> collections_;
-  std::map<std::string, agg::AggregateView> aggregate_views_;
+  /// The system's own namespace: loaded graphs, filtered views,
+  /// collections and aggregate views.
+  Session root_;
 
   // --- Streaming ingest state ---------------------------------------------
   /// Per-graph WAL appenders (WalWriter is neither copyable nor movable;

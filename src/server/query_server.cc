@@ -6,27 +6,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cctype>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
-#include <sstream>
 
-#include "algorithms/algorithms.h"
 #include "common/introspect.h"
-#include "differential/arrcache.h"
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "graph/csv.h"
-#include "gvdl/parser.h"
-#include "views/executor.h"
 
 namespace gs::server {
 
 namespace {
-
-std::atomic<uint64_t> g_next_instance_id{1};
 
 /// Cap on requests served over one keep-alive connection.
 constexpr int kMaxRequestsPerConnection = 1000;
@@ -34,9 +24,8 @@ constexpr int kMaxRequestsPerConnection = 1000;
 /// POST bodies are statements, not data uploads.
 constexpr size_t kMaxBodyBytes = 1 << 20;
 
-std::string ToLower(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::tolower(c));
-  return s;
+std::string Quoted(const std::string& s) {
+  return "\"" + introspect::JsonEscape(s) + "\"";
 }
 
 HttpResponse JsonOk(std::string body_fields) {
@@ -51,9 +40,68 @@ HttpResponse JsonError(int code, const std::string& message) {
   HttpResponse r;
   r.status_code = code;
   r.content_type = "application/json";
-  r.body =
-      "{\"ok\": false, \"error\": \"" + introspect::JsonEscape(message) +
-      "\"}\n";
+  r.body = "{\"ok\": false, \"error\": " + Quoted(message) + "}\n";
+  return r;
+}
+
+/// Client errors — a malformed statement, an unknown name, a name already
+/// taken — answer 400; everything else is the server's fault.
+HttpResponse StatusError(const Status& status) {
+  switch (status.code()) {
+    case StatusCode::kInvalidArgument:
+    case StatusCode::kNotFound:
+    case StatusCode::kAlreadyExists:
+    case StatusCode::kParseError:
+      return JsonError(400, status.ToString());
+    default:
+      return JsonError(500, status.ToString());
+  }
+}
+
+/// The answer to one executed statement. `get results` renders
+/// deterministically: view order is execution order, vertex order is
+/// ResultMap (std::map) order — two sessions that ran the same statement
+/// read byte-identical bodies.
+HttpResponse RenderStatement(const StatementResult& result,
+                             const Graphsurge::Session& session) {
+  switch (result.kind) {
+    case StatementResult::Kind::kDefinitions: {
+      std::string fields = "\"created\": [";
+      for (size_t i = 0; i < result.created.size(); ++i) {
+        if (i != 0) fields += ", ";
+        fields += Quoted(result.created[i]);
+      }
+      fields += "]";
+      if (!result.plan.empty()) fields += ", \"plan\": " + Quoted(result.plan);
+      return JsonOk(fields);
+    }
+    case StatementResult::Kind::kRun:
+      return JsonOk("\"algorithm\": " + Quoted(result.algorithm) +
+                    ", \"target\": " + Quoted(result.target) +
+                    ", \"views\": " + std::to_string(result.views));
+    case StatementResult::Kind::kResults:
+      break;
+  }
+  std::string body =
+      "{\"ok\": true, \"target\": " + Quoted(session.last_target()) +
+      ", \"results\": [";
+  bool first_view = true;
+  for (const auto& [view, values] : session.last_results()) {
+    if (!first_view) body += ", ";
+    first_view = false;
+    body += "{\"view\": " + Quoted(view) + ", \"values\": {";
+    bool first = true;
+    for (const auto& [vertex, value] : values) {
+      if (!first) body += ", ";
+      first = false;
+      body += "\"" + std::to_string(vertex) + "\": " + std::to_string(value);
+    }
+    body += "}}";
+  }
+  body += "]}\n";
+  HttpResponse r;
+  r.content_type = "application/json";
+  r.body = std::move(body);
   return r;
 }
 
@@ -171,112 +219,6 @@ bool ValidSessionName(const std::string& name) {
   return true;
 }
 
-bool ParseUint(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  }
-  errno = 0;
-  *out = std::strtoull(s.c_str(), nullptr, 10);
-  return errno != ERANGE;
-}
-
-std::vector<std::string> SplitTokens(const std::string& text) {
-  std::vector<std::string> tokens;
-  std::istringstream in(text);
-  std::string token;
-  while (in >> token) tokens.push_back(token);
-  return tokens;
-}
-
-std::vector<std::string> SplitOn(const std::string& s, char sep) {
-  std::vector<std::string> parts;
-  size_t begin = 0;
-  for (;;) {
-    size_t end = s.find(sep, begin);
-    if (end == std::string::npos) {
-      parts.push_back(s.substr(begin));
-      return parts;
-    }
-    parts.push_back(s.substr(begin, end - begin));
-    begin = end + 1;
-  }
-}
-
-/// Builds the computation named by `spec` ("name" or "name(args)").
-StatusOr<std::unique_ptr<analytics::Computation>> MakeComputation(
-    const std::string& spec) {
-  std::string name = spec;
-  std::string args;
-  size_t paren = spec.find('(');
-  if (paren != std::string::npos) {
-    if (spec.back() != ')') {
-      return Status::InvalidArgument("malformed algorithm spec: " + spec);
-    }
-    name = spec.substr(0, paren);
-    args = spec.substr(paren + 1, spec.size() - paren - 2);
-  }
-  name = ToLower(name);
-  auto need_source = [&]() -> StatusOr<uint64_t> {
-    uint64_t source = 0;
-    if (!ParseUint(args, &source)) {
-      return Status::InvalidArgument(name + " requires a numeric source: " +
-                                     spec);
-    }
-    return source;
-  };
-  std::unique_ptr<analytics::Computation> c;
-  if (name == "wcc") {
-    if (!args.empty()) {
-      return Status::InvalidArgument("wcc takes no arguments");
-    }
-    c = std::make_unique<analytics::Wcc>();
-  } else if (name == "scc") {
-    if (!args.empty()) {
-      return Status::InvalidArgument("scc takes no arguments");
-    }
-    c = std::make_unique<analytics::Scc>();
-  } else if (name == "pagerank") {
-    uint64_t iters = 10;
-    if (!args.empty() && (!ParseUint(args, &iters) || iters == 0)) {
-      return Status::InvalidArgument(
-          "pagerank takes a positive iteration count");
-    }
-    c = std::make_unique<analytics::PageRank>(static_cast<uint32_t>(iters));
-  } else if (name == "bfs") {
-    auto source = need_source();
-    GS_RETURN_IF_ERROR(source.status());
-    c = std::make_unique<analytics::Bfs>(source.value());
-  } else if (name == "bellman-ford" || name == "bellmanford" ||
-             name == "sssp") {
-    auto source = need_source();
-    GS_RETURN_IF_ERROR(source.status());
-    c = std::make_unique<analytics::BellmanFord>(source.value());
-  } else if (name == "mpsp") {
-    std::vector<std::pair<VertexId, VertexId>> pairs;
-    for (const std::string& pair_spec : SplitOn(args, ',')) {
-      std::vector<std::string> ends = SplitOn(pair_spec, ':');
-      uint64_t src = 0;
-      uint64_t dst = 0;
-      if (ends.size() != 2 || !ParseUint(ends[0], &src) ||
-          !ParseUint(ends[1], &dst)) {
-        return Status::InvalidArgument(
-            "mpsp takes src:dst pairs, e.g. mpsp(0:5,2:7)");
-      }
-      pairs.emplace_back(src, dst);
-    }
-    if (pairs.empty()) {
-      return Status::InvalidArgument("mpsp requires at least one src:dst");
-    }
-    c = std::make_unique<analytics::Mpsp>(std::move(pairs));
-  } else {
-    return Status::InvalidArgument(
-        "unknown algorithm '" + name +
-        "' (expected wcc, scc, pagerank, bfs, bellman-ford, or mpsp)");
-  }
-  return c;
-}
-
 metrics::Counter* Requests() {
   static auto* c =
       metrics::Registry::Global().GetCounter("gs_query_server_requests");
@@ -307,7 +249,11 @@ metrics::Gauge* SessionsGauge() {
 
 QueryServer::QueryServer(QueryServerOptions options)
     : options_(options),
-      instance_id_(g_next_instance_id.fetch_add(1)) {
+      host_([&options] {
+        GraphsurgeOptions host;
+        host.num_workers = options.num_workers;
+        return host;
+      }()) {
   status_pages_.Handle("/sessionz", [this] {
     HttpResponse r;
     r.content_type = "application/json";
@@ -316,14 +262,13 @@ QueryServer::QueryServer(QueryServerOptions options)
   });
 }
 
-QueryServer::~QueryServer() {
-  Stop();
-  differential::ArrangementCache::Global().InvalidateScopePrefix(
-      "qs" + std::to_string(instance_id_) + "/");
-}
+QueryServer::~QueryServer() { Stop(); }
 
 Status QueryServer::Start(uint16_t port) {
   if (running()) return Status::InvalidArgument("query server already running");
+  if (options_.num_threads == 0) {
+    return Status::InvalidArgument("query server needs num_threads >= 1");
+  }
 
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Status::Internal("socket() failed");
@@ -368,7 +313,12 @@ Status QueryServer::Start(uint16_t port) {
 }
 
 void QueryServer::Stop() {
-  if (!running_.exchange(false)) return;
+  {
+    // Under the queue mutex: a worker between its wait predicate and its
+    // block would otherwise miss the notify_all below.
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    if (!running_.exchange(false)) return;
+  }
   char byte = 'q';
   ssize_t ignored = ::write(wake_pipe_[1], &byte, 1);
   (void)ignored;
@@ -520,8 +470,7 @@ HttpResponse QueryServer::HandleSessionOpen(const http::Request& request) {
   }
   HttpResponse error;
   if (AdmitSession(it->second, &error) == nullptr) return error;
-  return JsonOk("\"session\": \"" + introspect::JsonEscape(it->second) +
-                "\"");
+  return JsonOk("\"session\": " + Quoted(it->second));
 }
 
 HttpResponse QueryServer::HandleSessionClose(const http::Request& request) {
@@ -548,7 +497,7 @@ HttpResponse QueryServer::HandleSessionClose(const http::Request& request) {
   // Serialize with any in-flight statement so its state is not destroyed
   // under it; the shared_ptr keeps the storage alive either way.
   std::lock_guard<std::mutex> lock(session->mutex);
-  return JsonOk("\"closed\": \"" + introspect::JsonEscape(it->second) + "\"");
+  return JsonOk("\"closed\": " + Quoted(it->second));
 }
 
 HttpResponse QueryServer::HandleQuery(const http::Request& request) {
@@ -562,284 +511,36 @@ HttpResponse QueryServer::HandleQuery(const http::Request& request) {
   if (session_field == fields.end() || statement_field == fields.end()) {
     return JsonError(400, "required fields: \"session\", \"statement\"");
   }
+  // An empty script is a no-op to the embedded API; over HTTP it is a 400.
+  const std::string& statement = statement_field->second;
+  if (statement.find_first_not_of(" \t\r\n") == std::string::npos) {
+    return JsonError(400, "empty statement");
+  }
   HttpResponse error;
   std::shared_ptr<Session> session =
       AdmitSession(session_field->second, &error);
   if (session == nullptr) return error;
   Statements()->Increment();
   std::lock_guard<std::mutex> lock(session->mutex);
-  return ExecuteStatement(session.get(), statement_field->second);
-}
-
-HttpResponse QueryServer::ExecuteStatement(Session* session,
-                                           const std::string& text) {
-  std::vector<std::string> tokens = SplitTokens(text);
-  if (tokens.empty()) return JsonError(400, "empty statement");
-  const std::string head = ToLower(tokens[0]);
-  if (head == "create") return ExecuteGvdl(session, text);
-  if (head == "run") return ExecuteRun(session, text);
-  if (head == "get" && tokens.size() >= 2 &&
-      ToLower(tokens[1]) == "results") {
-    return RenderResults(session);
-  }
-  return JsonError(400,
-                   "unrecognized statement (expected CREATE VIEW "
-                   "[COLLECTION], RUN <algorithm> ON <target>, or GET "
-                   "RESULTS): " +
-                       text);
-}
-
-HttpResponse QueryServer::ExecuteGvdl(Session* session,
-                                      const std::string& text) {
-  auto parsed = gvdl::ParseScript(text);
-  if (!parsed.ok()) {
-    return JsonError(400, "GVDL parse error: " + parsed.status().ToString());
-  }
-  std::vector<std::string> created;
-  for (const gvdl::Statement& statement : parsed.value()) {
-    // Resolve the `on` graph: the session's filtered views shadow host
-    // graphs, mirroring the embedded API's single namespace.
-    auto resolve = [&](const std::string& name) -> const PropertyGraph* {
-      auto view = session->filtered_views.find(name);
-      if (view != session->filtered_views.end()) return &view->second;
-      std::lock_guard<std::mutex> lock(graphs_mutex_);
-      auto graph = graphs_.find(name);
-      return graph == graphs_.end() ? nullptr : &graph->second;
-    };
-    auto name_taken = [&](const std::string& name) {
-      if (session->collections.count(name) != 0 ||
-          session->filtered_views.count(name) != 0) {
-        return true;
-      }
-      std::lock_guard<std::mutex> lock(graphs_mutex_);
-      return graphs_.count(name) != 0;
-    };
-    if (const auto* def = std::get_if<gvdl::ViewCollectionDef>(&statement)) {
-      if (name_taken(def->name)) {
-        return JsonError(400, "name already in use: " + def->name);
-      }
-      const PropertyGraph* graph = resolve(def->on);
-      if (graph == nullptr) {
-        return JsonError(400, "unknown graph or view: " + def->on);
-      }
-      views::MaterializeOptions mopts;
-      mopts.use_ordering = options_.order_collections;
-      auto mc = views::MaterializeCollection(*graph, *def, mopts);
-      if (!mc.ok()) {
-        return JsonError(400, "materialization failed: " +
-                                  mc.status().ToString());
-      }
-      session->collections[def->name] = std::move(mc).value();
-      created.push_back(def->name);
-    } else if (const auto* def =
-                   std::get_if<gvdl::FilteredViewDef>(&statement)) {
-      if (name_taken(def->name)) {
-        return JsonError(400, "name already in use: " + def->name);
-      }
-      const PropertyGraph* graph = resolve(def->on);
-      if (graph == nullptr) {
-        return JsonError(400, "unknown graph or view: " + def->on);
-      }
-      auto view =
-          views::MaterializeFilteredView(*graph, def->predicate, nullptr);
-      if (!view.ok()) {
-        return JsonError(400, "materialization failed: " +
-                                  view.status().ToString());
-      }
-      session->filtered_views[def->name] = std::move(view).value();
-      created.push_back(def->name);
-    } else if (std::get_if<gvdl::AggregateViewDef>(&statement) != nullptr) {
-      return JsonError(400,
-                       "aggregate views are not served over HTTP; use the "
-                       "embedded api::Graphsurge");
-    } else {
-      return JsonError(
-          400, "explain is not served over HTTP; use the embedded API");
-    }
-  }
-  std::string names;
-  for (size_t i = 0; i < created.size(); ++i) {
-    if (i != 0) names += ", ";
-    names += "\"" + introspect::JsonEscape(created[i]) + "\"";
-  }
-  return JsonOk("\"created\": [" + names + "]");
-}
-
-HttpResponse QueryServer::ExecuteRun(Session* session,
-                                     const std::string& text) {
-  // run <algorithm> on <target> [weight <column>] — the algorithm spec may
-  // contain spaces inside its parentheses ("mpsp(0:5, 2:7)"), so tokens up
-  // to the ON keyword are joined with whitespace removed.
-  std::vector<std::string> tokens = SplitTokens(text);
-  size_t on_index = 0;
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    if (ToLower(tokens[i]) == "on") {
-      on_index = i;
-      break;
-    }
-  }
-  if (on_index < 2 || on_index + 1 >= tokens.size()) {
-    return JsonError(
-        400, "expected: run <algorithm> on <target> [weight <column>]");
-  }
-  std::string spec;
-  for (size_t i = 1; i < on_index; ++i) spec += tokens[i];
-  const std::string target = tokens[on_index + 1];
-  int weight_column = -1;
-  if (on_index + 2 < tokens.size()) {
-    if (ToLower(tokens[on_index + 2]) != "weight" ||
-        on_index + 3 >= tokens.size()) {
-      return JsonError(400, "trailing tokens; expected: weight <column>");
-    }
-    uint64_t column = 0;
-    if (!ParseUint(tokens[on_index + 3], &column)) {
-      return JsonError(400, "weight column must be a number");
-    }
-    weight_column = static_cast<int>(column);
-    if (on_index + 4 < tokens.size()) {
-      return JsonError(400, "trailing tokens after weight column");
-    }
-  }
-
-  auto computation = MakeComputation(spec);
-  if (!computation.ok()) {
-    return JsonError(400, computation.status().ToString());
-  }
-
-  views::ExecutionOptions options;
-  options.weight_column = weight_column;
-  options.dataflow.num_workers = options_.num_workers;
-  options.capture_results = true;
-
-  session->last_target.clear();
-  session->last_results.clear();
-
-  // Target resolution: session collection → session filtered view → host
-  // graph. Only host graphs route through the arrangement cache — they are
-  // the shared substrate; session-local views are private by construction.
-  auto collection = session->collections.find(target);
-  if (collection != session->collections.end()) {
-    const views::MaterializedCollection& mc = collection->second;
-    const PropertyGraph* base = nullptr;
-    auto view = session->filtered_views.find(mc.base_graph);
-    if (view != session->filtered_views.end()) {
-      base = &view->second;
-    } else {
-      std::lock_guard<std::mutex> lock(graphs_mutex_);
-      auto graph = graphs_.find(mc.base_graph);
-      if (graph != graphs_.end()) base = &graph->second;
-    }
-    if (base == nullptr) {
-      return JsonError(400, "collection base graph vanished: " +
-                                mc.base_graph);
-    }
-    auto result =
-        views::RunOnCollection(*computation.value(), *base, mc, options);
-    if (!result.ok()) {
-      return JsonError(500, "execution failed: " +
-                                result.status().ToString());
-    }
-    session->last_target = target;
-    for (size_t t = 0; t < mc.num_views(); ++t) {
-      session->last_results.emplace_back(
-          mc.view_names[t], t < result.value().results.size()
-                                ? std::move(result.value().results[t])
-                                : analytics::ResultMap());
-    }
-    return JsonOk("\"algorithm\": \"" +
-                  introspect::JsonEscape(computation.value()->name()) +
-                  "\", \"target\": \"" + introspect::JsonEscape(target) +
-                  "\", \"views\": " + std::to_string(mc.num_views()));
-  }
-
-  const PropertyGraph* graph = nullptr;
-  bool host_graph = false;
-  auto view = session->filtered_views.find(target);
-  if (view != session->filtered_views.end()) {
-    graph = &view->second;
-  } else {
-    std::lock_guard<std::mutex> lock(graphs_mutex_);
-    auto found = graphs_.find(target);
-    if (found != graphs_.end()) {
-      graph = &found->second;
-      host_graph = true;
-    }
-  }
-  if (graph == nullptr) {
-    return JsonError(400, "unknown target '" + target +
-                              "' (not a collection, view, or graph)");
-  }
-  if (host_graph) {
-    options.arrangement_cache_scope = ArrangementCacheScope(target);
-  }
-  auto result = views::RunOnGraph(*computation.value(), *graph, options);
-  if (!result.ok()) {
-    return JsonError(500,
-                     "execution failed: " + result.status().ToString());
-  }
-  session->last_target = target;
-  session->last_results.emplace_back(target, std::move(result).value());
-  return JsonOk("\"algorithm\": \"" +
-                introspect::JsonEscape(computation.value()->name()) +
-                "\", \"target\": \"" + introspect::JsonEscape(target) +
-                "\", \"views\": 1");
-}
-
-HttpResponse QueryServer::RenderResults(Session* session) const {
-  // Deterministic rendering: view order is execution order, vertex order
-  // is ResultMap (std::map) order — two sessions that ran the same
-  // statement read byte-identical bodies.
-  std::string body = "{\"ok\": true, \"target\": \"" +
-                     introspect::JsonEscape(session->last_target) +
-                     "\", \"results\": [";
-  for (size_t t = 0; t < session->last_results.size(); ++t) {
-    const auto& [view, values] = session->last_results[t];
-    if (t != 0) body += ", ";
-    body += "{\"view\": \"" + introspect::JsonEscape(view) +
-            "\", \"values\": {";
-    bool first = true;
-    for (const auto& [vertex, value] : values) {
-      if (!first) body += ", ";
-      first = false;
-      body += "\"" + std::to_string(vertex) + "\": " + std::to_string(value);
-    }
-    body += "}}";
-  }
-  body += "]}\n";
-  HttpResponse r;
-  r.content_type = "application/json";
-  r.body = std::move(body);
-  return r;
+  StatusOr<StatementResult> result = host_.Execute(&session->state, statement);
+  if (!result.ok()) return StatusError(result.status());
+  return RenderStatement(*result, session->state);
 }
 
 Status QueryServer::AddGraph(const std::string& name, PropertyGraph graph) {
-  if (name.empty()) return Status::InvalidArgument("graph name is empty");
-  std::lock_guard<std::mutex> lock(graphs_mutex_);
-  if (graphs_.count(name) != 0) {
-    return Status::InvalidArgument("graph already exists: " + name);
+  if (running()) {
+    return Status::FailedPrecondition("host graphs are fixed while serving");
   }
-  graphs_.emplace(name, std::move(graph));
-  return Status::Ok();
+  return host_.AddGraph(name, std::move(graph));
 }
 
 Status QueryServer::LoadGraphCsv(const std::string& name,
                                  const std::string& nodes_path,
                                  const std::string& edges_path) {
-  auto graph = LoadGraphFromCsv(nodes_path, edges_path);
-  GS_RETURN_IF_ERROR(graph.status());
-  return AddGraph(name, std::move(graph).value());
-}
-
-std::string QueryServer::ArrangementCacheScope(
-    const std::string& graph_name) const {
-  {
-    std::lock_guard<std::mutex> lock(graphs_mutex_);
-    if (graphs_.count(graph_name) == 0) return std::string();
+  if (running()) {
+    return Status::FailedPrecondition("host graphs are fixed while serving");
   }
-  // Host graphs are immutable, so the epoch component is always 0; the
-  // instance id keeps same-named graphs in other servers (or in
-  // api::Graphsurge instances, which use the "gs" prefix) from aliasing.
-  return "qs" + std::to_string(instance_id_) + "/" + graph_name + "@0";
+  return host_.LoadGraphCsv(name, nodes_path, edges_path);
 }
 
 size_t QueryServer::num_sessions() const {
@@ -856,7 +557,7 @@ std::string QueryServer::SessionzJson() const {
   for (const auto& [name, session] : sessions_) {
     if (!first) s += ", ";
     first = false;
-    s += "{\"name\": \"" + introspect::JsonEscape(name) + "\"}";
+    s += "{\"name\": " + Quoted(name) + "}";
   }
   s += "]}\n";
   return s;

@@ -1,6 +1,6 @@
 // The query-serving front end: GVDL statements and analytics requests over
-// HTTP/JSON, executed against a process-hosted graph store on a
-// cooperative worker pool.
+// HTTP/JSON, executed by api::Graphsurge sessions against the graphs its
+// host system holds, on a cooperative worker pool.
 //
 // Protocol (all bodies JSON objects with string values):
 //   POST /session        {"session": "alice"}
@@ -10,26 +10,24 @@
 //   POST /session/close  {"session": "alice"}
 //       Tears the session down; its collections, views, and results vanish.
 //   POST /query          {"session": "alice", "statement": "..."}
-//       Executes one statement in the session:
-//         create view collection C on G [v1: p1], [v2: p2], ...
-//         create view V on G edges where <pred>
-//             GVDL, parsed by gvdl::ParseScript. Collections and filtered
-//             views land in the session's private namespace; `on` resolves
-//             session names first, then host graphs. Aggregate views and
-//             explain are politely refused — they are embedded-API
-//             features.
+//       Executes one statement in the session's Graphsurge::Session (see
+//       Graphsurge::Execute for the grammar):
+//         create view ... / create view collection ... / explain C
+//             GVDL. Filtered views, collections and aggregate views land in
+//             the session's private namespace; `on` resolves session names
+//             first, then host graphs. Answers {"created": [...]} plus, for
+//             explain, the plan text as "plan".
 //         run <algorithm> on <target> [weight <column>]
-//             <algorithm> is wcc | scc | pagerank[(iters)] | bfs(src) |
-//             bellman-ford(src) | mpsp(s:d[,s:d...]). <target> is a
-//             session collection (differential execution over all views),
-//             a session filtered view, or a host graph. Runs on a host
-//             graph go through the process-level arrangement cache
+//             Answers {"algorithm", "target", "views"}. Runs on a host graph
+//             go through the process-level arrangement cache
 //             (differential/arrcache.h), so concurrent sessions running on
 //             the same graph build the adjacency arrangements once.
 //         get results
 //             The per-view results of the session's last run, rendered
 //             deterministically (std::map order) — two sessions that ran
 //             the same statement read byte-identical bodies.
+//       Errors answer {"ok": false, "error"}: 400 for InvalidArgument,
+//       NotFound, AlreadyExists and GVDL parse errors, 500 otherwise.
 //   GET <path>
 //       Every status-server page (/metrics, /varz, /statusz, /healthz,
 //       ...) plus /sessionz (this server's session table), served from the
@@ -40,8 +38,8 @@
 // queue drained by `num_threads` workers; a full queue answers 503
 // immediately rather than letting latency grow unbounded. Statements
 // within a session serialize on the session's mutex; distinct sessions
-// execute in parallel. Host graphs are immutable once added, so analytics
-// reads need no graph lock.
+// execute in parallel. Host graphs are fixed once Start() is called, so
+// sessions read them without a lock.
 #ifndef GRAPHSURGE_SERVER_QUERY_SERVER_H_
 #define GRAPHSURGE_SERVER_QUERY_SERVER_H_
 
@@ -54,20 +52,18 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
-#include "algorithms/reference.h"
+#include "api/graphsurge.h"
 #include "common/status.h"
 #include "graph/graph.h"
 #include "server/status_server.h"
-#include "views/collection.h"
 
 namespace gs::server {
 
 struct QueryServerOptions {
   /// Request-serving worker threads (each runs whole statements, including
-  /// analytics, so this bounds concurrent dataflow runs).
+  /// analytics, so this bounds concurrent dataflow runs). Must be >= 1.
   size_t num_threads = 4;
   /// Admission control: sessions beyond this answer 503.
   size_t max_sessions = 16;
@@ -78,8 +74,6 @@ struct QueryServerOptions {
   int read_timeout_ms = 5000;
   /// Dataflow worker shards per analytics run.
   size_t num_workers = 1;
-  /// Run the collection ordering optimizer when materializing collections.
-  bool order_collections = false;
 };
 
 class QueryServer {
@@ -102,49 +96,37 @@ class QueryServer {
   uint16_t port() const { return port_; }
 
   // --- Host graph store ----------------------------------------------------
-  // Shared across sessions, read-only to them. Graphs are immutable once
-  // added; there is deliberately no mutation path through the server.
+  // Shared across sessions, read-only to them. Fails while the server is
+  // running: sessions read the host graphs without a lock.
   Status AddGraph(const std::string& name, PropertyGraph graph);
   Status LoadGraphCsv(const std::string& name, const std::string& nodes_path,
                       const std::string& edges_path);
 
-  /// The arrangement-cache scope `run ... on <graph_name>` uses:
-  /// "qs<instance>/<graph>@0". Exposed so tests can interrogate
-  /// differential::ArrangementCache::Stats for exactly this server's
-  /// entries. Empty when the graph does not exist.
-  std::string ArrangementCacheScope(const std::string& graph_name) const;
-
-  /// Serves one already-accepted connection to completion (exposed for
-  /// protocol-conformance tests; the worker pool uses it internally).
-  void ServeConnection(int fd);
+  /// The arrangement-cache scope `run ... on <graph_name>` uses (the host
+  /// system's Graphsurge::ArrangementCacheScope). Exposed so tests can
+  /// interrogate differential::ArrangementCache::Stats for exactly this
+  /// server's entries.
+  std::string ArrangementCacheScope(const std::string& graph_name) const {
+    return host_.ArrangementCacheScope(graph_name);
+  }
 
   size_t num_sessions() const;
 
  private:
   struct Session {
     std::mutex mutex;
-    std::map<std::string, views::MaterializedCollection> collections;
-    std::map<std::string, PropertyGraph> filtered_views;
-    std::string last_target;
-    /// (view name, vertex→value) per view of the last run, in execution
-    /// order.
-    std::vector<std::pair<std::string, analytics::ResultMap>> last_results;
+    Graphsurge::Session state;
   };
 
   void AcceptLoop();
   void WorkerLoop();
+  /// Serves one accepted connection to completion.
+  void ServeConnection(int fd);
 
   HttpResponse Route(const http::Request& request);
   HttpResponse HandleSessionOpen(const http::Request& request);
   HttpResponse HandleSessionClose(const http::Request& request);
   HttpResponse HandleQuery(const http::Request& request);
-
-  /// Executes one statement against `session` (its mutex held by the
-  /// caller). Returns the JSON response.
-  HttpResponse ExecuteStatement(Session* session, const std::string& text);
-  HttpResponse ExecuteGvdl(Session* session, const std::string& text);
-  HttpResponse ExecuteRun(Session* session, const std::string& text);
-  HttpResponse RenderResults(Session* session) const;
 
   /// Finds-or-creates the named session under admission control. Returns
   /// nullptr (and fills `error`) when the cap is hit.
@@ -154,9 +136,8 @@ class QueryServer {
   std::string SessionzJson() const;
 
   const QueryServerOptions options_;
-  /// Process-unique instance number prefixing this server's
-  /// arrangement-cache scopes.
-  const uint64_t instance_id_;
+  /// The host store and statement executor every session runs on.
+  Graphsurge host_;
 
   std::atomic<bool> running_{false};
   int listen_fd_ = -1;
@@ -165,13 +146,11 @@ class QueryServer {
   std::thread accept_thread_;
   std::vector<std::thread> workers_;
 
-  /// Bounded queue of accepted connections awaiting a worker.
+  /// Bounded queue of accepted connections awaiting a worker. Stop() clears
+  /// running_ under this mutex so no waiting worker misses the wakeup.
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<int> queue_;
-
-  mutable std::mutex graphs_mutex_;
-  std::map<std::string, PropertyGraph> graphs_;
 
   mutable std::mutex sessions_mutex_;
   std::map<std::string, std::shared_ptr<Session>> sessions_;

@@ -7,11 +7,14 @@
 // prints the bound port, and serves until SIGINT/SIGTERM. The same
 // listener answers analytics (POST /query) and every status page
 // (/metrics, /statusz, ...) — see server/query_server.h for the protocol.
+#include <cctype>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <ctime>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -35,6 +38,19 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+/// Parses all of `text` as a decimal integer in [min, max].
+bool ParseInRange(const char* text, size_t min, size_t max, size_t* out) {
+  if (text == nullptr || !std::isdigit(static_cast<unsigned char>(*text))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0' || value < min || value > max) return false;
+  *out = static_cast<size_t>(value);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -56,22 +72,18 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // Numeric flags: the port is 0 (ephemeral) to 65535, counts are >= 1.
+    constexpr size_t kMax = std::numeric_limits<size_t>::max();
+    size_t* count = arg == "--threads"        ? &options.num_threads
+                    : arg == "--workers"      ? &options.num_workers
+                    : arg == "--max-sessions" ? &options.max_sessions
+                                              : nullptr;
     if (arg == "--port") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      port = static_cast<uint16_t>(std::atoi(v));
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.num_threads = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--workers") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.num_workers = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--max-sessions") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      options.max_sessions = static_cast<size_t>(std::atoi(v));
+      size_t value = 0;
+      if (!ParseInRange(next(), 0, 65535, &value)) return Usage(argv[0]);
+      port = static_cast<uint16_t>(value);
+    } else if (count != nullptr) {
+      if (!ParseInRange(next(), 1, kMax, count)) return Usage(argv[0]);
     } else if (arg == "--graph") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);

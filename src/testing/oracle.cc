@@ -297,11 +297,14 @@ bool ParseServeResults(const std::string& body,
   }
 }
 
-/// serve: the HTTP query front end as an independent execution path. The
-/// case's collection definition and a RUN statement travel over a real
-/// loopback socket to a server/query_server.h instance hosting the case's
-/// graph; the parsed GET RESULTS must match the golden run per view
-/// definition. Named algorithms only — random DAGs have no statement form.
+/// serve: the wire and session path. The case's collection definition and
+/// a RUN statement travel over a real loopback socket to a
+/// server/query_server.h instance hosting the case's graph, where an
+/// api::Graphsurge session executes them; the parsed GET RESULTS must match
+/// the golden run per view definition. This checks request parsing,
+/// session namespacing and result rendering against the golden run — the
+/// executor itself is the embedded API's. Named algorithms only — random
+/// DAGs have no statement form.
 Status ServeMode(const FuzzCase& c, const gvdl::ViewCollectionDef& def,
                  const std::vector<ResultMap>& ref_by_def, int weight_column,
                  std::ostringstream& out) {

@@ -1,21 +1,21 @@
 // Query-serving front end: session lifecycle and isolation, admission
 // control, GVDL + analytics over HTTP, protocol conformance through the
-// shared http layer, and the headline arrangement-cache property — two
-// concurrent sessions running the same algorithm on the same host graph
-// trigger exactly one arrangement build and read byte-identical results
-// that match the embedded API.
+// shared http layer, server lifecycle, and the headline arrangement-cache
+// property — two concurrent sessions running the same algorithm on the
+// same host graph trigger exactly one arrangement build and read
+// byte-identical results that match the sequential reference.
 #include "server/query_server.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "algorithms/algorithms.h"
 #include "algorithms/reference.h"
-#include "api/graphsurge.h"
 #include "differential/arrcache.h"
 #include "graph/generators.h"
 #include "test_util.h"
@@ -41,10 +41,9 @@ HttpReply Query(uint16_t port, const std::string& session,
                       statement + "\"}");
 }
 
-/// The exact body RenderResults produces for a single-view run on
-/// `target`, built from an independently computed result map. Asserting
-/// equality against this string is the "byte-identical to the direct API"
-/// criterion.
+/// The exact body `get results` renders for a single-view run on `target`,
+/// built from an independently computed result map. Asserting equality
+/// against this string is the "byte-identical to the reference" criterion.
 std::string CanonicalResultsBody(const std::string& target,
                                  const analytics::ResultMap& values) {
   std::string body = "{\"ok\": true, \"target\": \"" + target +
@@ -60,6 +59,20 @@ std::string CanonicalResultsBody(const std::string& target,
   return body;
 }
 
+/// The sequential WCC of the host graph G restricted to edges whose weight
+/// is below `below`.
+analytics::ResultMap WccOfG(
+    int64_t below = std::numeric_limits<int64_t>::max()) {
+  const PropertyGraph g = GenerateUniformGraph(kNodes, kEdges, kSeed);
+  std::vector<WeightedEdge> edges;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (g.edge_properties().GetByName(e, "weight")->AsInt() < below) {
+      edges.push_back(g.ResolveWeighted(e, -1));
+    }
+  }
+  return analytics::WccReference(edges);
+}
+
 class QueryServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -67,6 +80,8 @@ class QueryServerTest : public ::testing::Test {
     ASSERT_TRUE(
         server_.AddGraph("G", GenerateUniformGraph(kNodes, kEdges, kSeed))
             .ok());
+    // The call graph carries node properties, for aggregate views.
+    ASSERT_TRUE(server_.AddGraph("Calls", MakeCallGraphExample()).ok());
     ASSERT_TRUE(server_.Start(0).ok());
     ASSERT_NE(server_.port(), 0);
   }
@@ -79,13 +94,7 @@ class QueryServerTest : public ::testing::Test {
 // --- The headline acceptance criterion ------------------------------------
 
 TEST_F(QueryServerTest, ConcurrentSessionsShareOneArrangementBuild) {
-  // The embedded API computes the ground truth on an identical graph.
-  Graphsurge direct;
-  ASSERT_TRUE(
-      direct.AddGraph("G", GenerateUniformGraph(kNodes, kEdges, kSeed)).ok());
-  auto truth = direct.RunOnView(analytics::Wcc(), "G");
-  ASSERT_TRUE(truth.ok()) << truth.status().ToString();
-  const std::string expected = CanonicalResultsBody("G", *truth);
+  const std::string expected = CanonicalResultsBody("G", WccOfG());
 
   // Two sessions issue the same run concurrently. Whichever statement
   // arrives second waits on the in-flight builder and becomes a reader —
@@ -110,7 +119,7 @@ TEST_F(QueryServerTest, ConcurrentSessionsShareOneArrangementBuild) {
   EXPECT_GE(stats->hits, 1u) << "the second session did not share the build";
 
   // Both sessions read byte-identical bodies, and those bytes render the
-  // embedded API's result exactly.
+  // sequential reference exactly.
   HttpReply ra = Query(server_.port(), "alice", "get results");
   HttpReply rb = Query(server_.port(), "bob", "get results");
   ASSERT_EQ(ra.status_code, 200);
@@ -137,8 +146,12 @@ TEST_F(QueryServerTest, SessionNamespacesAreIsolated) {
   HttpReply r2 = Query(server_.port(), "s2", "get results");
   ASSERT_EQ(r1.status_code, 200);
   ASSERT_EQ(r2.status_code, 200);
-  // Different predicates → different graphs → different components.
+  // Different predicates → different graphs → different components, each
+  // session's its own: a run shared across the same-named views (say,
+  // through an arrangement cache keyed by the view name) would not match.
   EXPECT_NE(r1.body, r2.body);
+  EXPECT_EQ(r1.body, CanonicalResultsBody("V", WccOfG(20)));
+  EXPECT_EQ(r2.body, CanonicalResultsBody("V", WccOfG(90)));
 
   // s2 cannot see s1's names being redefined; s1 cannot redefine its own.
   EXPECT_EQ(Query(server_.port(), "s1",
@@ -183,19 +196,42 @@ TEST_F(QueryServerTest, CollectionRunServesPerViewResults) {
   EXPECT_LT(small, mid);
   EXPECT_LT(mid, all);
 
-  // The last (unfiltered) view matches a direct run on the host graph.
-  Graphsurge direct;
-  ASSERT_TRUE(
-      direct.AddGraph("G", GenerateUniformGraph(kNodes, kEdges, kSeed)).ok());
-  auto truth = direct.RunOnView(analytics::Wcc(), "G");
-  ASSERT_TRUE(truth.ok());
-  std::string tail = CanonicalResultsBody("all", *truth);
+  // The last (unfiltered) view matches the reference on the host graph.
+  std::string tail = CanonicalResultsBody("all", WccOfG());
   // Extract the {"view": "all", ...} fragment from the canonical render.
   size_t frag_begin = tail.find("{\"view\"");
   std::string fragment =
       tail.substr(frag_begin, tail.find("]}") - frag_begin);
   EXPECT_NE(results.body.find(fragment), std::string::npos)
-      << "unfiltered view diverged from the direct API";
+      << "unfiltered view diverged from the reference";
+}
+
+TEST_F(QueryServerTest, ExplainShowsPlanAndLastRun) {
+  ASSERT_EQ(Query(server_.port(), "s",
+                  "create view collection C on G [small: weight < 30], "
+                  "[all: weight < 200]")
+                .status_code,
+            200);
+  ASSERT_EQ(Query(server_.port(), "s", "run wcc on C").status_code, 200);
+  HttpReply plan = Query(server_.port(), "s", "explain C");
+  ASSERT_EQ(plan.status_code, 200) << plan.body;
+  EXPECT_EQ(plan.body.rfind("{\"ok\": true, \"created\": [], \"plan\": "
+                            "\"collection C on G (2 views)",
+                            0),
+            0u)
+      << plan.body;
+  EXPECT_NE(plan.body.find("order source:"), std::string::npos);
+  EXPECT_NE(plan.body.find("last run:"), std::string::npos);
+  // The plan is the session's own: another session has no collection C.
+  EXPECT_EQ(Query(server_.port(), "t", "explain C").status_code, 400);
+}
+
+TEST_F(QueryServerTest, AggregateViewsAreServed) {
+  HttpReply created = Query(server_.port(), "s",
+                            "create view A on Calls nodes group by city "
+                            "aggregate count(*)");
+  ASSERT_EQ(created.status_code, 200) << created.body;
+  EXPECT_EQ(created.body, "{\"ok\": true, \"created\": [\"A\"]}\n");
 }
 
 TEST_F(QueryServerTest, AdmissionControlCapsSessions) {
@@ -254,16 +290,21 @@ TEST_F(QueryServerTest, StatementErrorsAreClientErrors) {
             400);
   EXPECT_EQ(Query(server_.port(), "s", "frobnicate the graph").status_code,
             400);
+  EXPECT_EQ(Query(server_.port(), "s", "  ").status_code, 400);
   EXPECT_EQ(Query(server_.port(), "s", "run nosuchalgo on G").status_code,
             400);
   EXPECT_EQ(Query(server_.port(), "s", "run wcc on NoSuchTarget")
                 .status_code,
             400);
   EXPECT_EQ(Query(server_.port(), "s", "run wcc on").status_code, 400);
-  // Aggregate views and explain are embedded-API features.
-  EXPECT_EQ(Query(server_.port(), "s",
-                  "create view A on G nodes group by [(weight = 1)] "
-                  "aggregate count(*)")
+  EXPECT_EQ(Query(server_.port(), "s", "run wcc on G weight").status_code,
+            400);
+  EXPECT_EQ(Query(server_.port(), "s", "explain NoSuchCollection")
+                .status_code,
+            400);
+  // Names are unique across the session and the host graphs.
+  EXPECT_EQ(Query(server_.port(), "s", "create view G on G edges where "
+                                        "weight < 5")
                 .status_code,
             400);
   // Unknown POST path and unsupported method.
@@ -305,12 +346,7 @@ TEST_F(QueryServerTest, ConcurrentClientsAcrossSessionsStayIsolated) {
   constexpr int kClients = 8;
   constexpr int kSessionsPerClient = 2;
 
-  Graphsurge direct;
-  ASSERT_TRUE(
-      direct.AddGraph("G", GenerateUniformGraph(kNodes, kEdges, kSeed)).ok());
-  auto truth = direct.RunOnView(analytics::Wcc(), "G");
-  ASSERT_TRUE(truth.ok());
-  const std::string expected = CanonicalResultsBody("G", *truth);
+  const std::string expected = CanonicalResultsBody("G", WccOfG());
 
   std::atomic<int> errors{0};
   auto client = [&](int id) {
@@ -380,6 +416,41 @@ TEST_F(QueryServerTest, StopIsIdempotentAndDropsCacheEntriesOnDestruction) {
   ASSERT_TRUE(stats.has_value());
   EXPECT_TRUE(stats->resident) << "Stop() must not drop cache entries; "
                                   "destruction does";
+}
+
+// --- Lifecycle ---------------------------------------------------------------
+
+TEST_F(QueryServerTest, HostGraphsAreFixedWhileServing) {
+  EXPECT_FALSE(server_.AddGraph("H", GenerateUniformGraph(20, 40, 1)).ok());
+  EXPECT_FALSE(server_.LoadGraphCsv("H", "nodes.csv", "edges.csv").ok());
+  EXPECT_EQ(Query(server_.port(), "s", "run wcc on H").status_code, 400);
+}
+
+TEST_F(QueryServerTest, ZeroThreadsIsRejected) {
+  QueryServerOptions options;
+  options.num_threads = 0;
+  QueryServer idle(options);
+  Status started = idle.Start(0);
+  EXPECT_EQ(started.code(), StatusCode::kInvalidArgument)
+      << started.ToString();
+  EXPECT_FALSE(idle.running());
+}
+
+TEST_F(QueryServerTest, StartStopCyclesNeverHang) {
+  // Stop() must wake every worker, including one caught between its wait
+  // predicate and its block; a lost wakeup hangs the join here.
+  QueryServerOptions options;
+  options.num_threads = 4;
+  QueryServer cycled(options);
+  ASSERT_TRUE(cycled.AddGraph("G", GenerateUniformGraph(20, 40, 1)).ok());
+  for (int cycle = 0; cycle < 1000; ++cycle) {
+    ASSERT_TRUE(cycled.Start(0).ok()) << "cycle " << cycle;
+    if (cycle % 250 == 0) {
+      EXPECT_EQ(Query(cycled.port(), "s", "run wcc on G").status_code, 200);
+    }
+    cycled.Stop();
+    ASSERT_FALSE(cycled.running());
+  }
 }
 
 }  // namespace
