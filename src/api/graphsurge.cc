@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 
 #include "algorithms/algorithms.h"
@@ -334,6 +335,13 @@ StatusOr<StatementResult> Graphsurge::ExecuteRun(
         !ParseUint(tokens[on_index + 3], &column)) {
       return Status::InvalidArgument(
           "trailing tokens; expected: weight <column number>");
+    }
+    // The views layer checks the column against the target graph; only a
+    // number that does not fit an int is rejected here, so it cannot wrap
+    // to -1 (unweighted).
+    if (column > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
+      return Status::InvalidArgument("weight column " +
+                                     tokens[on_index + 3] + " does not exist");
     }
     options.weight_column = static_cast<int>(column);
   }

@@ -106,9 +106,10 @@ struct DataflowStats {
   uint64_t trace_entries = 0;
   uint64_t trace_spine_batches = 0;
   /// Memory-accounting gauges, refreshed alongside the trace gauges above:
-  /// live resident bytes across all operator-owned traces (entry count ×
-  /// sizeof(Entry), see Trace::kEntryBytes), the high-water mark of that
-  /// figure, cumulative bytes reclaimed by consolidation/compaction, and
+  /// live resident bytes of operator history — owned traces (entry count ×
+  /// sizeof(Entry), see Trace::kEntryBytes) plus reduces' per-key
+  /// iteration-major histories — the high-water mark of that figure,
+  /// cumulative bytes reclaimed by trace consolidation/compaction, and
   /// updates currently buffered in operator input ports + exchange inboxes.
   uint64_t trace_bytes = 0;
   uint64_t trace_high_water_bytes = 0;

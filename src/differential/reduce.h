@@ -1,24 +1,28 @@
 // Differential group-by-key reduction.
 //
-// For each key, the operator maintains the full timestamped input history
-// and the output history it has emitted. When diffs for a key arrive at
-// time t it re-evaluates the user function at every "interesting" time —
-// the lub-closure of {t} over the key's input history — and emits output
+// For each key, the operator keeps the key's input history and the output
+// history it has emitted. When diffs for a key arrive at time t it
+// re-evaluates the user function at every "interesting" time — the
+// lub-closure of {t} over the key's input history — and emits output
 // corrections `f(input@u) - output@u`. This is DD's reduce restricted to
 // totally ordered versions; the closure argument for correctness under
 // arbitrary processing order is spelled out in DESIGN.md §3.1.
 //
-// Accumulations are served from a persistent per-key *iteration-major*
-// history (KeyState) instead of walking the trace on every evaluation: at
-// any evaluation time every history entry's version is ≤ the current
-// version (entries are only inserted at already-processed times), so at
-// scope depth ≤ 1 membership of an entry in the accumulation depends on
-// its innermost iteration coordinate alone. Keeping the history sorted by
-// iteration with a cursor makes each evaluation O(entries between the
-// previous and current iteration) — independent of how many versions or
-// epochs the trace spans — and lets retract/insert pairs landing at the
-// same iteration in different epochs cancel, which the trace itself can
-// never do (it must keep version distinctions until they seal).
+// At scope depth ≤ 1 the history is a persistent per-key *iteration-major*
+// index (KeyState), not a trace: at any evaluation time every history
+// entry's version is ≤ the current version (entries are only inserted at
+// already-processed times), so membership of an entry in the accumulation
+// depends on its innermost iteration coordinate alone. Keeping the history
+// sorted by iteration with a cursor makes each evaluation O(entries between
+// the previous and current iteration) — independent of how many versions or
+// epochs it spans — and lets retract/insert pairs landing at the same
+// iteration in different epochs cancel, which a trace can never do (it must
+// keep version distinctions until they seal). Traces are kept only where
+// something reads them: the input trace at depth ≥ 2 (nested Iterate, where
+// the iteration-scalar argument fails), the output trace at depth ≥ 2 or
+// when arranged() shares it downstream, and both as a shadow in
+// GRAPHSURGE_PARANOID builds, which cross-check every evaluation against
+// them.
 #ifndef GRAPHSURGE_DIFFERENTIAL_REDUCE_H_
 #define GRAPHSURGE_DIFFERENTIAL_REDUCE_H_
 
@@ -42,13 +46,13 @@ namespace gs::differential {
 /// be tolerated) and `output` receives the desired output multiset.
 /// Keys whose input multiset is empty produce no output (DD convention).
 ///
-/// The input history is either owned (stream constructor: the operator
-/// indexes its exchanged input itself) or shared (Arranged constructor: the
-/// operator reads the arrangement's trace and only tracks which keys were
-/// touched — no second copy of the index). The output history doubles as an
-/// arrangement: arranged() exposes it for downstream sharing, which is
-/// sound because the deltas are inserted into the output trace before they
-/// are published.
+/// The input is either owned (stream constructor: the per-key histories are
+/// built from the exchanged batches themselves) or shared (Arranged
+/// constructor: a key's first evaluation reads its history from the
+/// arrangement's trace). arranged() exposes the output as an arrangement
+/// for downstream sharing; only such a reduce keeps an output trace at
+/// depth ≤ 1, and sharing it is sound because the deltas are inserted into
+/// the output trace before they are published.
 template <typename K, typename V, typename Out, typename Fn>
 class ReduceOp : public OperatorBase {
  public:
@@ -88,8 +92,11 @@ class ReduceOp : public OperatorBase {
   /// Exposing the output as an arrangement also arms the process-level
   /// arrangement cache for it: a reduce whose output other dataflows could
   /// rebuild identically (e.g. the DistinctArranged adjacency) is exactly
-  /// one whose output is shared downstream.
+  /// one whose output is shared downstream. Must be called before the
+  /// dataflow runs: the output trace is written only from then on.
   Arranged<K, Out> arranged() {
+    GS_CHECK(states_.empty()) << "arranged() after the reduce has run";
+    output_traced_ = true;
     ArmCache();
     return Arranged<K, Out>(&output_trace_, stream());
   }
@@ -132,21 +139,29 @@ class ReduceOp : public OperatorBase {
     // ArrangeOp/ReduceOp, never double-counted here.
     if (input_ == &owned_input_) out->AddTrace(owned_input_);
     out->AddTrace(output_trace_);
+    // The KeyState histories are the reduce's history at depth ≤ 1, so they
+    // count as trace bytes (not as trace entries or batches, which are
+    // Trace rows). Their size is maintained incrementally — SealPhase calls
+    // this every version, so walking the whole key map here would dwarf the
+    // work being measured. The small per-key accumulations are not counted.
+    out->trace_bytes += states_bytes_;
+    out->trace_high_water_bytes += states_high_water_bytes_;
     out->queued_bytes += port_.buffered_bytes();
-    // The iteration-major evaluation index (see KeyState) is auxiliary
-    // operator state, reported alongside the queues.
-    // Iteration-major evaluation index (KeyState histories), maintained
-    // incrementally — SealPhase calls this every version, so walking the
-    // whole key map here would dwarf the work being measured. The small
-    // per-key accumulations are not counted.
-    out->queued_bytes += states_bytes_;
   }
 
  private:
-  /// One entry of the iteration-major history: a trace entry with its
-  /// version coordinate dropped. Sound as an evaluation index because
-  /// probes only ever look backward along the version axis (see the file
-  /// header): at probe time (v, i), entry ≤ probe ⇔ entry.iter ≤ i.
+#if GRAPHSURGE_PARANOID
+  // Paranoid builds write both traces as a shadow of the KeyState
+  // histories, so EvaluateKeyAt can cross-check every evaluation.
+  static constexpr bool kShadowTraces = true;
+#else
+  static constexpr bool kShadowTraces = false;
+#endif
+
+  /// One entry of the iteration-major history: an update with its version
+  /// coordinate dropped. Sound as an evaluation index because probes only
+  /// ever look backward along the version axis (see the file header): at
+  /// probe time (v, i), entry ≤ probe ⇔ entry.iter ≤ i.
   template <typename U>
   struct IterEntry {
     uint32_t iter;
@@ -154,25 +169,21 @@ class ReduceOp : public OperatorBase {
     Diff diff;
   };
 
-  /// Persistent per-key evaluation state — the iteration-major mirror of
-  /// the key's input and output histories, plus running accumulations.
+  /// Persistent per-key evaluation state at depth ≤ 1 — the key's input and
+  /// output histories in iteration-major form, plus running accumulations.
   ///
   /// Invariants (built == true):
-  ///   - `hist` holds exactly the key's input history (same per-(value,
-  ///     iteration) diff sums as the trace), sorted by iteration;
-  ///     `out_hist` likewise for the output history.
+  ///   - `hist` holds exactly the key's input history (the per-(value,
+  ///     iteration) diff sums of every update delivered for the key),
+  ///     sorted by iteration; `out_hist` likewise for the emitted output.
   ///   - `acc` is the consolidated sum of hist[0, pos), where [0, pos) is
   ///     exactly the entries with iter ≤ cur_iter; `out_acc`/`out_pos`
-  ///     mirror this for the output.
-  /// Maintained incrementally: every insert into the underlying traces for
-  /// this key is mirrored here, either from the key's slice of the arriving
-  /// batch (input; ArrangeOp and this op's owned input both insert exactly
-  /// the batches they deliver, and batch keys are always evaluated at the
-  /// batch's time) or from the emitted delta (output). Trace compaction
-  /// cannot invalidate the state: it preserves per-(value, ≤t) diff sums
-  /// for every probe time t at or after the frontier, and the mirror holds
-  /// copies. Depth ≥ 2 times (nested Iterate) leave the iteration-scalar
-  /// regime and fall back to a full trace walk per evaluation.
+  ///     do the same for the output.
+  /// Maintained incrementally from the key's slice of each arriving batch
+  /// (batch keys are always evaluated at the batch's time; a shared
+  /// arrangement inserts exactly the batches it delivers) and from each
+  /// emitted delta. Depth ≥ 2 times (nested Iterate) leave the
+  /// iteration-scalar regime and walk the traces per evaluation instead.
   struct KeyState {
     std::vector<IterEntry<V>> hist;       // sorted by iter
     std::vector<IterEntry<Out>> out_hist;  // sorted by iter
@@ -242,14 +253,14 @@ class ReduceOp : public OperatorBase {
     if (!(time == Time(0))) export_ = false;  // multi-time: not cacheable
     Batch<std::pair<K, V>> batch = port_.Take(time);
     // Sort the batch by key: each key's new updates form one contiguous
-    // range handed to EvaluateKeyAt, which mirrors them into the key's
-    // iteration-major history instead of re-walking the trace.
+    // range handed to EvaluateKeyAt, which folds them into the key's
+    // iteration-major history.
     std::sort(batch.begin(), batch.end(),
               [](const Update<std::pair<K, V>>& a,
                  const Update<std::pair<K, V>>& b) {
                 return a.data.first < b.data.first;
               });
-    if (input_ == &owned_input_) {
+    if (input_ == &owned_input_ && (time.depth > 1 || kShadowTraces)) {
       for (const auto& u : batch) {
         owned_input_.Insert(u.data.first, u.data.second, time, u.diff);
       }
@@ -419,51 +430,49 @@ class ReduceOp : public OperatorBase {
     return true;
   }
 
-  // First touch of a key: mirrors its trace history (input and output)
-  // into iteration-major form and parks the cursor at `time`.
-  void BuildKeyState(const K& key, const Time& time, KeyState* state) {
+  // Adds `bytes` to the KeyState history size, tracking its high-water mark.
+  void GrowStatesBytes(size_t bytes) {
+    states_bytes_ += bytes;
+    states_high_water_bytes_ =
+        std::max(states_high_water_bytes_, states_bytes_);
+  }
+
+  // First touch of a key: builds its iteration-major history and parks the
+  // cursor at `time`. The key has never been evaluated, so it has emitted
+  // no output. An owned-input reduce evaluates every key at every time it
+  // receives input, so the key's input history is exactly [nb, ne), its
+  // slice of the batch arriving now; a shared arrangement's trace is
+  // walked instead.
+  void BuildKeyState(const K& key, const Time& time,
+                     const Update<std::pair<K, V>>* nb,
+                     const Update<std::pair<K, V>>* ne, KeyState* state) {
     const uint32_t iter0 = time.iters[0];
-    state->hist.clear();
-    state->out_hist.clear();
-    state->acc.clear();
-    state->out_acc.clear();
-    input_->ForEach(key, [&](const V& value, const Time& t, Diff diff) {
-      state->hist.push_back(IterEntry<V>{t.iters[0], value, diff});
-    });
-    output_trace_.ForEach(key, [&](const Out& value, const Time& t,
-                                   Diff diff) {
-      state->out_hist.push_back(IterEntry<Out>{t.iters[0], value, diff});
-    });
-    auto by_iter_v = [](const IterEntry<V>& a, const IterEntry<V>& b) {
-      return a.iter < b.iter;
-    };
-    auto by_iter_o = [](const IterEntry<Out>& a, const IterEntry<Out>& b) {
-      return a.iter < b.iter;
-    };
-    std::sort(state->hist.begin(), state->hist.end(), by_iter_v);
-    std::sort(state->out_hist.begin(), state->out_hist.end(), by_iter_o);
+    if (input_ == &owned_input_) {
+      for (const auto* u = nb; u != ne; ++u) {
+        state->hist.push_back(IterEntry<V>{iter0, u->data.second, u->diff});
+      }
+    } else {
+      input_->ForEach(key, [&](const V& value, const Time& t, Diff diff) {
+        state->hist.push_back(IterEntry<V>{t.iters[0], value, diff});
+      });
+      std::sort(state->hist.begin(), state->hist.end(),
+                [](const IterEntry<V>& a, const IterEntry<V>& b) {
+                  return a.iter < b.iter;
+                });
+    }
     state->hist_lwm = state->hist.size();
-    state->out_lwm = state->out_hist.size();
-    state->pos = 0;
-    state->out_pos = 0;
     SeekCursor(&state->hist, &state->pos, 0, &state->acc);
-    SeekCursor(&state->out_hist, &state->out_pos, 0, &state->out_acc);
     state->base_acc = state->acc;
-    state->base_out_acc = state->out_acc;
     state->base_pos = state->pos;
-    state->base_out_pos = state->out_pos;
     SeekCursor(&state->hist, &state->pos, iter0, &state->acc);
-    SeekCursor(&state->out_hist, &state->out_pos, iter0, &state->out_acc);
     state->cur_iter = iter0;
     state->built = true;
-    states_bytes_ += state->hist.size() * sizeof(IterEntry<V>) +
-                     state->out_hist.size() * sizeof(IterEntry<Out>);
+    GrowStatesBytes(state->hist.size() * sizeof(IterEntry<V>));
     ScheduleTailVisits(time, state->hist, state->pos, key);
   }
 
   // Evaluates `key` at exactly `time`; [nb, ne) is the key's slice of the
-  // batch that arrived there (already inserted into the trace; the mirror
-  // folds it in here).
+  // batch that arrived there, folded into the key's history here.
   void EvaluateKeyAt(const K& key, const Time& time,
                      const Update<std::pair<K, V>>* nb,
                      const Update<std::pair<K, V>>* ne,
@@ -484,7 +493,7 @@ class ReduceOp : public OperatorBase {
     KeyState& state = states_[key];
     bool was_built = state.built;
     if (!state.built) {
-      BuildKeyState(key, time, &state);
+      BuildKeyState(key, time, nb, ne, &state);
     } else {
       if (iter0 == 0 && state.cur_iter > 0) {
         state.acc = state.base_acc;
@@ -501,7 +510,7 @@ class ReduceOp : public OperatorBase {
     }
     if (was_built && nb != ne) {
       // Input changed at `time`: schedule the lub-closure over the entries
-      // ahead of the cursor, then mirror the new deltas into the prefix.
+      // ahead of the cursor, then fold the new deltas into the prefix.
       ScheduleTailVisits(time, state.hist, state.pos, key);
       for (const auto* u = nb; u != ne; ++u) {
         state.hist.insert(
@@ -515,8 +524,7 @@ class ReduceOp : public OperatorBase {
         }
       }
       if (iter0 == 0) PurgeZeros(&state.base_acc);
-      states_bytes_ +=
-          static_cast<size_t>(ne - nb) * sizeof(IterEntry<V>);
+      GrowStatesBytes(static_cast<size_t>(ne - nb) * sizeof(IterEntry<V>));
       size_t before = state.hist.size();
       if (MaybeConsolidateHist(&state.hist, &state.pos, &state.hist_lwm,
                                state.cur_iter)) {
@@ -525,22 +533,22 @@ class ReduceOp : public OperatorBase {
       states_bytes_ -= (before - state.hist.size()) * sizeof(IterEntry<V>);
     }
 #if GRAPHSURGE_PARANOID
-    // Cross-check the mirror against a direct trace walk (skipped when the
-    // fuzzer plants a lost-insert bug in the trace on purpose).
+    // Cross-check the history against a walk of the shadow traces (skipped
+    // when the fuzzer plants a lost-insert bug in a trace on purpose).
     if (fuzz::GlobalHooks().drop_insert_at == 0) {
       Batch<V> check;
       input_->Accumulate(key, time, &check);
       Batch<V> mirror = state.acc;
       Consolidate(&mirror);
       GS_CHECK(SameBatch(check, mirror))
-          << "iteration-major input mirror diverged from trace at "
+          << "iteration-major input history diverged from trace at "
           << time.ToString();
       Batch<Out> out_check;
       output_trace_.Accumulate(key, time, &out_check);
       Batch<Out> out_mirror = state.out_acc;
       Consolidate(&out_mirror);
       GS_CHECK(SameBatch(out_check, out_mirror))
-          << "iteration-major output mirror diverged from trace at "
+          << "iteration-major output history diverged from trace at "
           << time.ToString();
     }
 #endif
@@ -584,13 +592,15 @@ class ReduceOp : public OperatorBase {
     dataflow_->stats().AddShardWork(HashValue(key),
                                     state.acc.size() + delta.size());
     for (const Update<Out>& d : delta) {
-      output_trace_.Insert(key, d.data, time, d.diff);
+      if (output_traced_ || kShadowTraces) {
+        output_trace_.Insert(key, d.data, time, d.diff);
+      }
       state.out_hist.insert(state.out_hist.begin() + state.out_pos,
                             IterEntry<Out>{iter0, d.data, d.diff});
       ++state.out_pos;
       out->push_back(Update<std::pair<K, Out>>{{key, d.data}, d.diff});
     }
-    states_bytes_ += delta.size() * sizeof(IterEntry<Out>);
+    GrowStatesBytes(delta.size() * sizeof(IterEntry<Out>));
     // The output at `time` now equals `desired` by construction.
     state.out_acc = desired;
     if (iter0 == 0) {
@@ -618,8 +628,9 @@ class ReduceOp : public OperatorBase {
 #endif
 
   // Depth ≥ 2 evaluation (nested Iterate): outside the iteration-scalar
-  // regime the mirror's membership rule breaks, so accumulate straight
-  // from the traces and re-derive the interesting times every evaluation.
+  // regime KeyState's membership rule breaks, so both traces are written
+  // and every evaluation accumulates straight from them and re-derives the
+  // interesting times.
   void EvaluateDeepKeyAt(const K& key, const Time& time,
                          Batch<std::pair<K, Out>>* out) {
     Batch<V>& in_u = scratch_in_;
@@ -678,12 +689,16 @@ class ReduceOp : public OperatorBase {
   Fn fn_;
   InputPort<std::pair<K, V>> port_;
   std::map<Time, std::vector<K>, TimeLexLess> pending_keys_;
+  // Written only at depth ≥ 2 or as the paranoid shadow.
   Trace<K, V> owned_input_;
   const Trace<K, V>* input_;  // &owned_input_ or a shared arrangement
+  // Written at depth ≥ 2, once arranged() shares it, or as the shadow.
   Trace<K, Out> output_trace_;
+  bool output_traced_ = false;  // arranged() was called
   Publisher<std::pair<K, Out>> output_;
   std::unordered_map<K, KeyState, KeyHash> states_;
   size_t states_bytes_ = 0;  // history bytes across states_, kept in sync
+  size_t states_high_water_bytes_ = 0;
   Batch<V> scratch_in_;
   Batch<Out> scratch_desired_;
   Batch<Out> scratch_current_;

@@ -70,6 +70,24 @@ WeightedEdge PropertyGraph::ResolveWeighted(EdgeId id,
   return WeightedEdge{e.src, e.dst, w};
 }
 
+Status PropertyGraph::CheckWeightColumn(int weight_column) const {
+  if (weight_column == -1) return Status::Ok();
+  const std::string name = "weight column " + std::to_string(weight_column);
+  if (weight_column < 0 ||
+      static_cast<size_t>(weight_column) >= edge_props_.num_columns()) {
+    return Status::InvalidArgument(
+        name + " does not exist (the graph has " +
+        std::to_string(edge_props_.num_columns()) + " edge columns)");
+  }
+  const PropertyType t =
+      edge_props_.column(static_cast<size_t>(weight_column)).type();
+  if (t != PropertyType::kInt && t != PropertyType::kDouble) {
+    return Status::InvalidArgument(name + " has type " + PropertyTypeName(t) +
+                                   "; expected int or double");
+  }
+  return Status::Ok();
+}
+
 int PropertyGraph::FindWeightColumn(const std::string& name) const {
   auto idx = edge_props_.ColumnIndex(name);
   if (!idx.ok()) return -1;

@@ -72,8 +72,13 @@ class PropertyGraph {
   const PropertyTable& edge_properties() const { return edge_props_; }
 
   /// Resolves an edge to a weighted edge using `weight_column` if present
-  /// (int or double, rounded), otherwise weight 1.
+  /// (int or double, rounded), otherwise weight 1. `weight_column` must
+  /// pass CheckWeightColumn.
   WeightedEdge ResolveWeighted(EdgeId id, int weight_column) const;
+
+  /// Ok if `weight_column` is -1 (unweighted) or an int or double edge
+  /// property column; InvalidArgument otherwise.
+  Status CheckWeightColumn(int weight_column) const;
 
   /// Returns the edge-property column index to use as weight, or -1.
   int FindWeightColumn(const std::string& name) const;

@@ -34,9 +34,9 @@ FuzzCase InjectBugCase(uint64_t seed) {
   c.program.algo = Algo::kWcc;
   c.workers = 2;
   c.schedule_seed = fuzz::Mix(c.case_seed ^ 0x5c5c5c5cull);
-  // The reduce's iteration-major mirror absorbs drops that land after a
-  // key's state was built (deltas reach it from the batch, not the trace),
-  // so early drop points can be benign — search a wide range.
+  // Reduces outside nested loops keep their history in per-key indexes
+  // fed from the batches, not in traces, so only some drop points corrupt
+  // the output — search a wide range.
   for (uint64_t drop = 1; drop <= 512; ++drop) {
     c.drop_insert_at = drop;
     std::string scratch;

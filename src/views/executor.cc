@@ -95,6 +95,7 @@ StatusOr<ExecutionResult> RunOnCollection(
     const analytics::Computation& computation, const PropertyGraph& graph,
     const MaterializedCollection& collection,
     const ExecutionOptions& options) {
+  GS_RETURN_IF_ERROR(graph.CheckWeightColumn(options.weight_column));
   ExecutionResult result;
   result.strategy = options.strategy;
   result.chunk_size = options.chunk_size;
@@ -280,6 +281,7 @@ StatusOr<ExecutionResult> RunOnCollection(
 StatusOr<analytics::ResultMap> RunOnGraph(
     const analytics::Computation& computation, const PropertyGraph& graph,
     const ExecutionOptions& options) {
+  GS_RETURN_IF_ERROR(graph.CheckWeightColumn(options.weight_column));
   // Single-version runs qualify for the process-level arrangement cache:
   // one transaction per run, builder or reader role decided by Begin. The
   // tag captures everything that shapes the dataflow and its arrangement

@@ -23,6 +23,8 @@ struct ExecutionOptions {
   /// ℓ: adaptive decisions cover this many views at a time (paper §5).
   size_t chunk_size = 10;
   /// Edge property column used as Bellman-Ford/MPSP weight; -1 → weight 1.
+  /// Any other value must name an int or double edge column, or the run
+  /// fails with InvalidArgument before any edge is resolved.
   int weight_column = -1;
   /// Engine parameters; dataflow.num_workers > 1 runs every view of the
   /// collection on a sharded multi-worker engine (differential/sharded.h)

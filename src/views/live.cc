@@ -26,6 +26,7 @@ StatusOr<std::unique_ptr<LiveRun>> LiveRun::Start(
   if (collection == nullptr || collection->num_views() == 0) {
     return Status::InvalidArgument("live run needs a non-empty collection");
   }
+  GS_RETURN_IF_ERROR(graph.CheckWeightColumn(options.weight_column));
   if (!collection->maintainable()) {
     return Status::FailedPrecondition(
         "live run needs a maintainable (predicate-defined) collection");

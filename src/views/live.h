@@ -47,7 +47,8 @@
 namespace gs::views {
 
 struct LiveRunOptions {
-  /// Edge property column used as edge weight; -1 → weight 1.
+  /// Edge property column used as edge weight; -1 → weight 1. Checked
+  /// like ExecutionOptions::weight_column.
   int weight_column = -1;
   /// Engine parameters (num_workers > 1 runs sharded).
   differential::DataflowOptions dataflow;

@@ -7,15 +7,20 @@
 //   3. compaction monotonically grows reclaimed_bytes and never grows
 //      live_bytes;
 //   4. serial trace bytes == sum over shards at W ∈ {1, 2, 4} — the
-//      accounting is entries × sizeof(Entry), which is partition-
-//      independent once a single-version workload is fully compacted.
+//      accounting is entries × entry size (trace rows and reduce history
+//      entries alike), which is partition-independent once a
+//      single-version workload is fully compacted;
+//   5. reduces outside nested loops write trace rows only when their
+//      output is shared as an arrangement.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "algorithms/reference.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "differential/differential.h"
@@ -53,9 +58,9 @@ uint64_t SumFamily(const std::string& text, const std::string& family) {
   return sum;
 }
 
-/// A two-stage stateful pipeline per shard: a shared arrangement plus a
-/// distinct (which owns input + output traces), exercising every gauge the
-/// engine maintains.
+/// A two-stage stateful pipeline per shard: a shared arrangement (a trace)
+/// plus a stream Distinct (whose history is its reduce's per-key index,
+/// counted as trace bytes), exercising every gauge the engine maintains.
 class ArrangementHarness {
  public:
   explicit ArrangementHarness(size_t num_workers)
@@ -197,6 +202,92 @@ TEST(ArrangementGaugesTest, SerialTraceBytesEqualSumOfShards) {
     ASSERT_GT(manual, 0u);
     if (workers == 1) manual_serial = manual;
     EXPECT_EQ(manual, manual_serial) << "W=" << workers;
+  }
+}
+
+// At loop depth ≤ 1 a reduce keeps its history in its per-key index only:
+// the stream Distinct (depth 0) and the stream-input ReduceMin inside
+// Iterate (depth 1) write no trace rows, yet report their history as trace
+// bytes. The DistinctArranged output is shared with JoinArranged, so it
+// keeps its trace. Several versions with retractions must still match the
+// sequential WCC.
+TEST(ReduceHistoryTest, ShallowReducesWriteOnlySharedTraces) {
+  using Edge = std::pair<uint64_t, uint64_t>;
+  using Label = std::pair<uint64_t, int64_t>;
+  Dataflow dataflow;
+  Input<Edge> input(&dataflow);
+  auto edges = Distinct(input.stream());
+  auto labels0 = Distinct(edges.FlatMap([](const Edge& e,
+                                           std::vector<uint64_t>* out) {
+                   out->push_back(e.first);
+                   out->push_back(e.second);
+                 })).Map([](const uint64_t& v) {
+    return Label{v, static_cast<int64_t>(v)};
+  });
+  const size_t arranged_begin = dataflow.num_operators();
+  auto adjacency = DistinctArranged(
+      edges.FlatMap([](const Edge& e, std::vector<Edge>* out) {
+        out->push_back(e);
+        out->push_back({e.second, e.first});
+      }));
+  const size_t arranged_end = dataflow.num_operators();
+  auto labels = Iterate<Label>(
+      labels0, [&](LoopScope& scope, Stream<Label> inner) {
+        auto messages = JoinArranged(
+            inner, adjacency.Enter(scope),
+            [](const uint64_t&, const int64_t& label, const uint64_t& dst) {
+              return Label{dst, label};
+            });
+        return ReduceMin(messages.Concat(scope.Enter(labels0)));
+      });
+  auto* capture = Capture(labels);
+
+  Rng rng(41);
+  std::map<Edge, Diff> present;
+  for (uint32_t version = 0; version < 5; ++version) {
+    for (auto& [edge, count] : present) {
+      if (count > 0 && rng.Bernoulli(0.3)) {
+        input.Send(edge, -1);
+        --count;
+      }
+    }
+    for (int i = 0; i < (version == 0 ? 60 : 12); ++i) {
+      Edge edge{rng.Index(30), rng.Index(30)};
+      input.Send(edge, 1);
+      ++present[edge];
+    }
+    ASSERT_TRUE(dataflow.Step().ok());
+
+    std::vector<WeightedEdge> reference_edges;
+    for (const auto& [edge, count] : present) {
+      if (count > 0) reference_edges.push_back({edge.first, edge.second, 1});
+    }
+    analytics::ResultMap got;
+    for (const auto& u : capture->AccumulatedAt(version)) {
+      if (u.diff == 0) continue;
+      EXPECT_EQ(u.diff, 1) << "vertex " << u.data.first;
+      got[u.data.first] = u.data.second;
+    }
+    EXPECT_EQ(got, analytics::WccReference(reference_edges))
+        << "version " << version;
+
+    size_t reduces = 0;
+    for (const auto& snap : dataflow.CollectOperatorSnapshots()) {
+      if (snap.name != "reduce") continue;
+      ++reduces;
+      const OperatorMemory& memory = snap.memory;
+      EXPECT_GT(memory.trace_bytes, 0u) << "op " << snap.order;
+      EXPECT_GE(memory.trace_high_water_bytes, memory.trace_bytes)
+          << "op " << snap.order;
+      if (snap.order >= arranged_begin && snap.order < arranged_end) {
+        EXPECT_GT(memory.trace_entries, 0u) << "DistinctArranged output";
+      } else {
+#if !GRAPHSURGE_PARANOID  // paranoid builds keep shadow traces
+        EXPECT_EQ(memory.trace_entries, 0u) << "op " << snap.order;
+#endif
+      }
+    }
+    EXPECT_EQ(reduces, 4u);
   }
 }
 

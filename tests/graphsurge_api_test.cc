@@ -165,6 +165,44 @@ TEST_F(GraphsurgeApiTest, Errors) {
             StatusCode::kAlreadyExists);
 }
 
+TEST_F(GraphsurgeApiTest, RunChecksTheWeightColumn) {
+  // Calls has two int edge columns: duration (0) and year (1). A missing
+  // column is rejected before any edge is resolved, for graph and
+  // collection targets alike; 4294967295 would wrap to -1 (unweighted) as
+  // an int.
+  Graphsurge::Session session;
+  ASSERT_TRUE(system_
+                  .Execute(&session,
+                           "create view collection D on Calls "
+                           "[short: duration <= 10], [all: duration <= 100]")
+                  .ok());
+  for (const std::string target : {"Calls", "D"}) {
+    for (const std::string column : {"2", "99", "2147483648", "4294967295"}) {
+      const std::string statement =
+          "run sssp(0) on " + target + " weight " + column;
+      EXPECT_EQ(system_.Execute(&session, statement).status().code(),
+                StatusCode::kInvalidArgument)
+          << statement;
+    }
+  }
+
+  // A valid column still runs weighted and matches the reference.
+  auto run = system_.Execute(&session, "run sssp(0) on Calls weight 0");
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  auto calls = system_.GetGraph("Calls");
+  ASSERT_TRUE(calls.ok());
+  std::vector<WeightedEdge> weighted;
+  std::vector<WeightedEdge> unweighted;
+  for (EdgeId e = 0; e < (*calls)->num_edges(); ++e) {
+    weighted.push_back((*calls)->ResolveWeighted(e, 0));
+    unweighted.push_back((*calls)->ResolveWeighted(e, -1));
+  }
+  ASSERT_EQ(session.last_results().size(), 1u);
+  const analytics::ResultMap& got = session.last_results()[0].second;
+  EXPECT_EQ(got, analytics::SsspReference(weighted, 0));
+  EXPECT_NE(got, analytics::SsspReference(unweighted, 0));
+}
+
 TEST_F(GraphsurgeApiTest, ProfileReportsLastRun) {
   // Before any computation, Profile carries no per-view table (only the
   // metrics exposition, possibly fed by other tests in this process).

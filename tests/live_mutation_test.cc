@@ -199,6 +199,49 @@ TEST(LiveMutationTest, AdvanceEpochRequiresRefreshedCollection) {
   EXPECT_TRUE(live.value()->AdvanceEpoch(effects.touched_edges).ok());
 }
 
+TEST(LiveMutationTest, ViewsEntryPointsRejectBadWeightColumns) {
+  // Columns: w (int, 0) and tag (string, 1).
+  PropertyGraph g;
+  g.AddNodes(3);
+  ASSERT_TRUE(g.edge_properties().AddColumn("w", PropertyType::kInt).ok());
+  ASSERT_TRUE(
+      g.edge_properties().AddColumn("tag", PropertyType::kString).ok());
+  for (uint64_t v = 0; v < 2; ++v) {
+    ASSERT_TRUE(g.AddEdge(v, v + 1).ok());
+    ASSERT_TRUE(g.edge_properties()
+                    .AppendRow({PropertyValue(int64_t{3}), PropertyValue("x")})
+                    .ok());
+  }
+  views::MaterializeOptions mopts;
+  auto col = views::MaterializeCollectionWith(
+      g, "c", {"all"}, {[](EdgeId) { return true; }}, mopts);
+  ASSERT_TRUE(col.ok()) << col.status().ToString();
+  analytics::BellmanFord sssp(0);
+  for (int column : {1, 2, 99, -2}) {
+    views::ExecutionOptions eo;
+    eo.weight_column = column;
+    EXPECT_EQ(views::RunOnGraph(sssp, g, eo).status().code(),
+              StatusCode::kInvalidArgument)
+        << "RunOnGraph, column " << column;
+    EXPECT_EQ(views::RunOnCollection(sssp, g, col.value(), eo).status().code(),
+              StatusCode::kInvalidArgument)
+        << "RunOnCollection, column " << column;
+    views::LiveRunOptions lopts;
+    lopts.weight_column = column;
+    EXPECT_EQ(views::LiveRun::Start(sssp, g, &col.value(), lopts)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "LiveRun::Start, column " << column;
+  }
+  views::ExecutionOptions eo;
+  eo.weight_column = 0;
+  auto weighted = views::RunOnGraph(sssp, g, eo);
+  ASSERT_TRUE(weighted.ok()) << weighted.status().ToString();
+  EXPECT_EQ(weighted.value(),
+            (analytics::ResultMap{{0, 0}, {1, 3}, {2, 6}}));
+}
+
 TEST(LiveMutationTest, DiffBatchCollectionsAreNotMaintainable) {
   PropertyGraph g = BuildTestGraph(6, 8, 5);
   views::MaterializedCollection mc = views::CollectionFromDiffBatches(

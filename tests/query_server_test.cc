@@ -299,6 +299,14 @@ TEST_F(QueryServerTest, StatementErrorsAreClientErrors) {
   EXPECT_EQ(Query(server_.port(), "s", "run wcc on").status_code, 400);
   EXPECT_EQ(Query(server_.port(), "s", "run wcc on G weight").status_code,
             400);
+  // G has one edge column (weight, index 0).
+  for (const std::string column : {"1", "99", "4294967295"}) {
+    EXPECT_EQ(
+        Query(server_.port(), "s", "run sssp(0) on G weight " + column)
+            .status_code,
+        400)
+        << "weight " << column;
+  }
   EXPECT_EQ(Query(server_.port(), "s", "explain NoSuchCollection")
                 .status_code,
             400);
@@ -315,6 +323,21 @@ TEST_F(QueryServerTest, StatementErrorsAreClientErrors) {
                                 "Connection: close\r\n\r\n")
                 .status_code,
             405);
+}
+
+TEST_F(QueryServerTest, WeightedRunMatchesReference) {
+  const PropertyGraph g = GenerateUniformGraph(kNodes, kEdges, kSeed);
+  std::vector<WeightedEdge> edges;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    edges.push_back(g.ResolveWeighted(e, 0));
+  }
+  ASSERT_EQ(
+      Query(server_.port(), "s", "run sssp(0) on G weight 0").status_code,
+      200);
+  HttpReply results = Query(server_.port(), "s", "get results");
+  ASSERT_EQ(results.status_code, 200);
+  EXPECT_EQ(results.body,
+            CanonicalResultsBody("G", analytics::SsspReference(edges, 0)));
 }
 
 TEST_F(QueryServerTest, StatusPagesServedFromSameListener) {
