@@ -100,7 +100,7 @@ void BM_BfsFixpoint(benchmark::State& state) {
   for (auto _ : state) {
     dd::Dataflow df;
     dd::Input<WeightedEdge> edges(&df);
-    dd::Capture(bfs.GraphAnalytics(&df, edges.stream()));
+    dd::Capture(bfs.GraphAnalytics(edges.stream()));
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
       edges.Send(g.ResolveWeighted(e, -1), 1);
     }
@@ -115,7 +115,7 @@ void BM_IncrementalBfsStep(benchmark::State& state) {
   analytics::Bfs bfs(g.edge(0).src);
   dd::Dataflow df;
   dd::Input<WeightedEdge> edges(&df);
-  dd::Capture(bfs.GraphAnalytics(&df, edges.stream()));
+  dd::Capture(bfs.GraphAnalytics(edges.stream()));
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     edges.Send(g.ResolveWeighted(e, -1), 1);
   }
@@ -174,7 +174,6 @@ void BM_ArrangementCacheColdRun(benchmark::State& state) {
   analytics::Wcc wcc;
   views::ExecutionOptions eo;
   eo.capture_results = true;
-  eo.dataflow.use_arrangements = true;
   eo.arrangement_cache_scope = "bench-cold/g@0";
   for (auto _ : state) {
     dd::ArrangementCache::Global().Clear();
@@ -194,7 +193,6 @@ void BM_ArrangementCacheWarmRun(benchmark::State& state) {
   analytics::Wcc wcc;
   views::ExecutionOptions eo;
   eo.capture_results = true;
-  eo.dataflow.use_arrangements = true;
   eo.arrangement_cache_scope = "bench-warm/g@0";
   dd::ArrangementCache::Global().Clear();
   GS_CHECK(views::RunOnGraph(wcc, g, eo).ok());  // prime the entry

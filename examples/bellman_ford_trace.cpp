@@ -20,7 +20,7 @@ int main() {
   dd::Dataflow df;
   dd::Input<gs::WeightedEdge> edges(&df);
   gs::analytics::BellmanFord bf(/*source=*/0);
-  auto result = bf.GraphAnalytics(&df, edges.stream());
+  auto result = bf.GraphAnalytics(edges.stream());
   auto* capture = dd::Capture(result.InspectBatches(
       [](const dd::Time& t, const dd::Batch<gs::analytics::VertexValue>& b) {
         for (const auto& u : b) {

@@ -36,8 +36,7 @@ dd::Stream<std::pair<K, V>> Antijoin(dd::Stream<std::pair<K, V>> in,
 
 }  // namespace
 
-ResultStream Wcc::GraphAnalytics(dd::Dataflow* dataflow,
-                                 EdgeStream edges) const {
+ResultStream Wcc::GraphAnalytics(EdgeStream edges) const {
   // Undirected, deduplicated adjacency (parallel edges would multiply join
   // outputs without changing the result).
   auto sym = edges.FlatMap([](const WeightedEdge& e,
@@ -52,30 +51,19 @@ ResultStream Wcc::GraphAnalytics(dd::Dataflow* dataflow,
     return std::make_pair(dst, label);
   };
 
-  if (dataflow->options().use_arrangements) {
-    // The deduplicated adjacency lives in the distinct-reduce's output
-    // trace; the loop probes it by reference instead of re-indexing it.
-    auto adjacency = dd::DistinctArranged(sym);
-    return dd::Iterate<VertexValue>(
-        labels0, [&](dd::LoopScope& scope, dd::Stream<VertexValue> inner) {
-          auto adj_in = adjacency.Enter(scope);
-          auto labels0_in = scope.Enter(labels0);
-          auto messages = dd::JoinArranged(inner, adj_in, propagate);
-          return dd::ReduceMin(messages.Concat(labels0_in));
-        });
-  }
-  auto adjacency = dd::Distinct(sym);
+  // The deduplicated adjacency lives in the distinct-reduce's output
+  // trace; the loop probes it by reference instead of re-indexing it.
+  auto adjacency = dd::DistinctArranged(sym);
   return dd::Iterate<VertexValue>(
       labels0, [&](dd::LoopScope& scope, dd::Stream<VertexValue> inner) {
-        auto adj_in = scope.Enter(adjacency);
+        auto adj_in = adjacency.Enter(scope);
         auto labels0_in = scope.Enter(labels0);
-        auto messages = dd::Join(inner, adj_in, propagate);
+        auto messages = dd::JoinArranged(inner, adj_in, propagate);
         return dd::ReduceMin(messages.Concat(labels0_in));
       });
 }
 
-ResultStream Bfs::GraphAnalytics(dd::Dataflow* dataflow,
-                                 EdgeStream edges) const {
+ResultStream Bfs::GraphAnalytics(EdgeStream edges) const {
   auto hops = edges.Map(
       [](const WeightedEdge& e) { return KeyedU64{e.src, e.dst}; });
   // The root exists only if the source has an outgoing edge in this view —
@@ -90,28 +78,17 @@ ResultStream Bfs::GraphAnalytics(dd::Dataflow* dataflow,
     return std::make_pair(dst, dist + 1);
   };
 
-  if (dataflow->options().use_arrangements) {
-    auto adjacency = dd::DistinctArranged(hops);
-    return dd::Iterate<VertexValue>(
-        roots, [&](dd::LoopScope& scope, dd::Stream<VertexValue> inner) {
-          auto adj_in = adjacency.Enter(scope);
-          auto roots_in = scope.Enter(roots);
-          auto messages = dd::JoinArranged(inner, adj_in, step);
-          return dd::ReduceMin(messages.Concat(roots_in));
-        });
-  }
-  auto adjacency = dd::Distinct(hops);
+  auto adjacency = dd::DistinctArranged(hops);
   return dd::Iterate<VertexValue>(
       roots, [&](dd::LoopScope& scope, dd::Stream<VertexValue> inner) {
-        auto adj_in = scope.Enter(adjacency);
+        auto adj_in = adjacency.Enter(scope);
         auto roots_in = scope.Enter(roots);
-        auto messages = dd::Join(inner, adj_in, step);
+        auto messages = dd::JoinArranged(inner, adj_in, step);
         return dd::ReduceMin(messages.Concat(roots_in));
       });
 }
 
-ResultStream BellmanFord::GraphAnalytics(dd::Dataflow* dataflow,
-                                         EdgeStream edges) const {
+ResultStream BellmanFord::GraphAnalytics(EdgeStream edges) const {
   // Keep (dst, weight) pairs distinct — parallel equal-weight edges dedupe,
   // different weights both participate and ReduceMin picks the best.
   auto weighted = edges.Map([](const WeightedEdge& e) {
@@ -128,28 +105,17 @@ ResultStream BellmanFord::GraphAnalytics(dd::Dataflow* dataflow,
     return std::make_pair(edge.first, dist + edge.second);
   };
 
-  if (dataflow->options().use_arrangements) {
-    auto adjacency = dd::DistinctArranged(weighted);
-    return dd::Iterate<VertexValue>(
-        roots, [&](dd::LoopScope& scope, dd::Stream<VertexValue> inner) {
-          auto adj_in = adjacency.Enter(scope);
-          auto roots_in = scope.Enter(roots);
-          auto messages = dd::JoinArranged(inner, adj_in, relax);
-          return dd::ReduceMin(messages.Concat(roots_in));
-        });
-  }
-  auto adjacency = dd::Distinct(weighted);
+  auto adjacency = dd::DistinctArranged(weighted);
   return dd::Iterate<VertexValue>(
       roots, [&](dd::LoopScope& scope, dd::Stream<VertexValue> inner) {
-        auto adj_in = scope.Enter(adjacency);
+        auto adj_in = adjacency.Enter(scope);
         auto roots_in = scope.Enter(roots);
-        auto messages = dd::Join(inner, adj_in, relax);
+        auto messages = dd::JoinArranged(inner, adj_in, relax);
         return dd::ReduceMin(messages.Concat(roots_in));
       });
 }
 
-ResultStream PageRank::GraphAnalytics(dd::Dataflow* dataflow,
-                                      EdgeStream edges) const {
+ResultStream PageRank::GraphAnalytics(EdgeStream edges) const {
   GS_CHECK(iterations_ >= 1);
   // Out-edges keep multiplicity: each parallel edge carries its own share.
   auto out_edges = edges.Map(
@@ -177,45 +143,27 @@ ResultStream PageRank::GraphAnalytics(dd::Dataflow* dataflow,
   dd::IterateOptions options;
   options.max_iterations = iterations_ - 1;
 
-  if (dataflow->options().use_arrangements) {
-    // The edge set is arranged once; the same trace backs the degree count
-    // and the contribution join, and the degree count's output trace backs
-    // the share join — no operator-private edge or degree index remains.
-    auto edges_arr = dd::Arrange(out_edges);
-    auto degrees_arr = dd::CountArranged(edges_arr);  // (v, outdeg)
-    return dd::Iterate<VertexValue>(
-        base_ranks,
-        [&](dd::LoopScope& scope, dd::Stream<VertexValue> ranks) {
-          auto degrees_in = degrees_arr.Enter(scope);
-          auto edges_in = edges_arr.Enter(scope);
-          auto base_in = scope.Enter(base_ranks);
-          auto shares = dd::JoinArranged(ranks, degrees_in, to_share);
-          auto contributions =
-              dd::JoinArranged(shares, edges_in, to_contribution);
-          return dd::Reduce<int64_t>(contributions.Concat(base_in),
-                                     sum_ranks);
-        },
-        options);
-  }
-  auto degrees = dd::Count(out_edges);  // (v, outdeg)
+  // The edge set is arranged once; the same trace backs the degree count
+  // and the contribution join, and the degree count's output trace backs
+  // the share join — no operator-private edge or degree index remains.
+  auto edges_arr = dd::Arrange(out_edges);
+  auto degrees_arr = dd::CountArranged(edges_arr);  // (v, outdeg)
   return dd::Iterate<VertexValue>(
       base_ranks,
       [&](dd::LoopScope& scope, dd::Stream<VertexValue> ranks) {
-        auto degrees_in = scope.Enter(degrees);
-        auto edges_in = scope.Enter(out_edges);
+        auto degrees_in = degrees_arr.Enter(scope);
+        auto edges_in = edges_arr.Enter(scope);
         auto base_in = scope.Enter(base_ranks);
         // Per-vertex share of its rank along each out-edge.
-        auto shares = dd::Join(ranks, degrees_in, to_share);
-        auto contributions = dd::Join(shares, edges_in, to_contribution);
-        auto next =
-            dd::Reduce<int64_t>(contributions.Concat(base_in), sum_ranks);
-        return next;
+        auto shares = dd::JoinArranged(ranks, degrees_in, to_share);
+        auto contributions =
+            dd::JoinArranged(shares, edges_in, to_contribution);
+        return dd::Reduce<int64_t>(contributions.Concat(base_in), sum_ranks);
       },
       options);
 }
 
-ResultStream Mpsp::GraphAnalytics(dd::Dataflow* dataflow,
-                                  EdgeStream edges) const {
+ResultStream Mpsp::GraphAnalytics(EdgeStream edges) const {
   GS_CHECK(pairs_.size() <= 256) << "MPSP supports at most 256 pairs";
   using Tagged = std::pair<uint64_t, std::pair<int64_t, int64_t>>;
 
@@ -249,46 +197,31 @@ ResultStream Mpsp::GraphAnalytics(dd::Dataflow* dataflow,
                   const std::pair<uint64_t, int64_t>& edge) {
     return Tagged{edge.first, {tag_dist.first, tag_dist.second + edge.second}};
   };
-  auto body = [&](dd::LoopScope& scope, dd::Stream<Tagged> inner,
-                  dd::Stream<Tagged> messages) {
-    auto roots_in = scope.Enter(roots);
-    // Min distance per (vertex, pair-index).
-    auto keyed = messages.Concat(roots_in).Map([](const Tagged& t) {
-      return std::make_pair(PackKey(t.first, t.second.first),
-                            t.second.second);
-    });
-    auto best = dd::ReduceMin(keyed);
-    return best.Map([](const VertexValue& kv) {
-      return Tagged{UnpackVertex(kv.first),
-                    {static_cast<int64_t>(UnpackPair(kv.first)), kv.second}};
-    });
-  };
 
-  dd::Stream<Tagged> dists;
-  if (dataflow->options().use_arrangements) {
-    auto adjacency = dd::DistinctArranged(weighted);
-    dists = dd::Iterate<Tagged>(
-        roots, [&](dd::LoopScope& scope, dd::Stream<Tagged> inner) {
-          auto adj_in = adjacency.Enter(scope);
-          auto messages = dd::JoinArranged(inner, adj_in, relax);
-          return body(scope, inner, messages);
+  auto adjacency = dd::DistinctArranged(weighted);
+  auto dists = dd::Iterate<Tagged>(
+      roots, [&](dd::LoopScope& scope, dd::Stream<Tagged> inner) {
+        auto adj_in = adjacency.Enter(scope);
+        auto messages = dd::JoinArranged(inner, adj_in, relax);
+        auto roots_in = scope.Enter(roots);
+        // Min distance per (vertex, pair-index).
+        auto keyed = messages.Concat(roots_in).Map([](const Tagged& t) {
+          return std::make_pair(PackKey(t.first, t.second.first),
+                                t.second.second);
         });
-  } else {
-    auto adjacency = dd::Distinct(weighted);
-    dists = dd::Iterate<Tagged>(
-        roots, [&](dd::LoopScope& scope, dd::Stream<Tagged> inner) {
-          auto adj_in = scope.Enter(adjacency);
-          auto messages = dd::Join(inner, adj_in, relax);
-          return body(scope, inner, messages);
+        auto best = dd::ReduceMin(keyed);
+        return best.Map([](const VertexValue& kv) {
+          return Tagged{
+              UnpackVertex(kv.first),
+              {static_cast<int64_t>(UnpackPair(kv.first)), kv.second}};
         });
-  }
+      });
   return dists.Map([](const Tagged& t) {
     return std::make_pair(PackKey(t.first, t.second.first), t.second.second);
   });
 }
 
-ResultStream Scc::GraphAnalytics(dd::Dataflow* dataflow,
-                                 EdgeStream edges) const {
+ResultStream Scc::GraphAnalytics(EdgeStream edges) const {
   // The outer loop variable carries tagged records: kind 0 = an active edge
   // (src, dst) of the not-yet-settled subgraph, kind 1 = a final assignment
   // (vertex, scc-id). Assignments ride along unchanged once produced, so
@@ -310,7 +243,6 @@ ResultStream Scc::GraphAnalytics(dd::Dataflow* dataflow,
     return SccRec{kEdge, e.first, static_cast<int64_t>(e.second)};
   });
 
-  const bool use_arrangements = dataflow->options().use_arrangements;
   auto final_state = dd::Iterate<SccRec>(
       state0, [&](dd::LoopScope& outer, dd::Stream<SccRec> state) {
         auto active = state
@@ -362,43 +294,26 @@ ResultStream Scc::GraphAnalytics(dd::Dataflow* dataflow,
         // Inner loop 1: forward color propagation — col(v) = max id with a
         // path to v in the active subgraph. Then edges whose endpoints share
         // a color (membership may only flow through them), reversed for
-        // backward propagation: (dst, src). With arrangements, the active
-        // edge set is indexed once per peeling round and shared between the
-        // color loop and the src-color join, and the color collection is
-        // arranged once for both sides of the same-color test.
-        dd::Stream<VertexValue> colors;
-        dd::Stream<KeyedU64> same_color_rev;
-        if (use_arrangements) {
-          auto active_arr = dd::Arrange(active);
-          colors = dd::Iterate<VertexValue>(
-              init_colors,
-              [&](dd::LoopScope& inner, dd::Stream<VertexValue> c) {
-                auto edges_in = active_arr.Enter(inner);
-                auto init_in = inner.Enter(init_colors);
-                auto moved = dd::JoinArranged(c, edges_in, move_color);
-                return dd::ReduceMax(moved.Concat(init_in));
-              });
-          auto colors_arr = dd::Arrange(colors);
-          auto with_src_color =
-              dd::JoinArranged(active_arr, colors_arr, attach_src_color);
-          same_color_rev =
-              dd::JoinArranged(with_src_color, colors_arr, compare_colors)
-                  .Filter(keep_same_color)
-                  .Map(reverse_edge);
-        } else {
-          colors = dd::Iterate<VertexValue>(
-              init_colors,
-              [&](dd::LoopScope& inner, dd::Stream<VertexValue> c) {
-                auto edges_in = inner.Enter(active);
-                auto init_in = inner.Enter(init_colors);
-                auto moved = dd::Join(c, edges_in, move_color);
-                return dd::ReduceMax(moved.Concat(init_in));
-              });
-          auto with_src_color = dd::Join(active, colors, attach_src_color);
-          same_color_rev = dd::Join(with_src_color, colors, compare_colors)
-                               .Filter(keep_same_color)
-                               .Map(reverse_edge);
-        }
+        // backward propagation: (dst, src). The active edge set is indexed
+        // once per peeling round and shared between the color loop and the
+        // src-color join, and the color collection is arranged once for
+        // both sides of the same-color test.
+        auto active_arr = dd::Arrange(active);
+        auto colors = dd::Iterate<VertexValue>(
+            init_colors,
+            [&](dd::LoopScope& inner, dd::Stream<VertexValue> c) {
+              auto edges_in = active_arr.Enter(inner);
+              auto init_in = inner.Enter(init_colors);
+              auto moved = dd::JoinArranged(c, edges_in, move_color);
+              return dd::ReduceMax(moved.Concat(init_in));
+            });
+        auto colors_arr = dd::Arrange(colors);
+        auto with_src_color =
+            dd::JoinArranged(active_arr, colors_arr, attach_src_color);
+        auto same_color_rev =
+            dd::JoinArranged(with_src_color, colors_arr, compare_colors)
+                .Filter(keep_same_color)
+                .Map(reverse_edge);
 
         // Roots: vertices that are their own color.
         auto roots = colors.Filter([](const VertexValue& vc) {
@@ -407,25 +322,14 @@ ResultStream Scc::GraphAnalytics(dd::Dataflow* dataflow,
 
         // Inner loop 2: backward membership — v joins the SCC of color c if
         // some same-color edge (v, w) has member w.
-        dd::Stream<VertexValue> members;
-        if (use_arrangements) {
-          auto rev_arr = dd::Arrange(same_color_rev);
-          members = dd::Iterate<VertexValue>(
-              roots, [&](dd::LoopScope& inner, dd::Stream<VertexValue> m) {
-                auto rev_in = rev_arr.Enter(inner);
-                auto roots_in = inner.Enter(roots);
-                auto moved = dd::JoinArranged(m, rev_in, move_member);
-                return dd::ReduceMin(moved.Concat(roots_in));
-              });
-        } else {
-          members = dd::Iterate<VertexValue>(
-              roots, [&](dd::LoopScope& inner, dd::Stream<VertexValue> m) {
-                auto rev_in = inner.Enter(same_color_rev);
-                auto roots_in = inner.Enter(roots);
-                auto moved = dd::Join(m, rev_in, move_member);
-                return dd::ReduceMin(moved.Concat(roots_in));
-              });
-        }
+        auto rev_arr = dd::Arrange(same_color_rev);
+        auto members = dd::Iterate<VertexValue>(
+            roots, [&](dd::LoopScope& inner, dd::Stream<VertexValue> m) {
+              auto rev_in = rev_arr.Enter(inner);
+              auto roots_in = inner.Enter(roots);
+              auto moved = dd::JoinArranged(m, rev_in, move_member);
+              return dd::ReduceMin(moved.Concat(roots_in));
+            });
 
         // Remove settled vertices: antijoin on src, then on dst.
         auto settled = members.Map([](const VertexValue& vc) {

@@ -19,8 +19,7 @@ namespace gs::analytics {
 class Wcc : public Computation {
  public:
   std::string name() const override { return "wcc"; }
-  ResultStream GraphAnalytics(differential::Dataflow* dataflow,
-                              EdgeStream edges) const override;
+  ResultStream GraphAnalytics(EdgeStream edges) const override;
 };
 
 /// Breadth-first search: hop distance from `source` (unweighted).
@@ -29,8 +28,7 @@ class Bfs : public Computation {
  public:
   explicit Bfs(VertexId source) : source_(source) {}
   std::string name() const override { return "bfs"; }
-  ResultStream GraphAnalytics(differential::Dataflow* dataflow,
-                              EdgeStream edges) const override;
+  ResultStream GraphAnalytics(EdgeStream edges) const override;
 
  private:
   VertexId source_;
@@ -43,8 +41,7 @@ class BellmanFord : public Computation {
  public:
   explicit BellmanFord(VertexId source) : source_(source) {}
   std::string name() const override { return "bellman-ford"; }
-  ResultStream GraphAnalytics(differential::Dataflow* dataflow,
-                              EdgeStream edges) const override;
+  ResultStream GraphAnalytics(EdgeStream edges) const override;
 
  private:
   VertexId source_;
@@ -61,8 +58,7 @@ class PageRank : public Computation {
 
   explicit PageRank(uint32_t iterations = 10) : iterations_(iterations) {}
   std::string name() const override { return "pagerank"; }
-  ResultStream GraphAnalytics(differential::Dataflow* dataflow,
-                              EdgeStream edges) const override;
+  ResultStream GraphAnalytics(EdgeStream edges) const override;
 
   static int64_t Base() { return kRankScale * 15 / 100; }
   static int64_t Damp(int64_t rank) { return rank * 85 / 100; }
@@ -79,8 +75,7 @@ class PageRank : public Computation {
 class Scc : public Computation {
  public:
   std::string name() const override { return "scc"; }
-  ResultStream GraphAnalytics(differential::Dataflow* dataflow,
-                              EdgeStream edges) const override;
+  ResultStream GraphAnalytics(EdgeStream edges) const override;
 };
 
 /// Multiple-pair shortest paths: Bellman-Ford from each pair's source run
@@ -96,8 +91,7 @@ class Mpsp : public Computation {
   std::string cache_tag() const override {
     return "mpsp#" + std::to_string(pairs_.size());
   }
-  ResultStream GraphAnalytics(differential::Dataflow* dataflow,
-                              EdgeStream edges) const override;
+  ResultStream GraphAnalytics(EdgeStream edges) const override;
 
   static uint64_t PackKey(VertexId v, size_t pair_index) {
     return (v << 8) | static_cast<uint64_t>(pair_index);

@@ -28,8 +28,9 @@ using EdgeStream = differential::Stream<WeightedEdge>;
 using ResultStream = differential::Stream<VertexValue>;
 
 /// Paper Listing 2: users implement graph_analytics to turn the view's edge
-/// stream into a result collection. Implementations must be pure dataflow
-/// builders (no execution state) so one instance can build many dataflows.
+/// stream, its only input, into a result collection. Implementations must
+/// be pure dataflow builders (no execution state) so one instance can build
+/// many dataflows.
 class Computation {
  public:
   virtual ~Computation() = default;
@@ -49,9 +50,9 @@ class Computation {
   /// pair count) must be.
   virtual std::string cache_tag() const { return name(); }
 
-  /// Builds the analytics dataflow over `edges` inside `dataflow`.
-  virtual ResultStream GraphAnalytics(differential::Dataflow* dataflow,
-                                      EdgeStream edges) const = 0;
+  /// Builds the analytics dataflow over `edges`, inside the dataflow that
+  /// owns the stream.
+  virtual ResultStream GraphAnalytics(EdgeStream edges) const = 0;
 };
 
 }  // namespace gs::analytics

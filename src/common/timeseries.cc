@@ -147,7 +147,7 @@ Series* Store::GetSeries(const std::string& name) {
   if (it != series_.end()) return it->second.get();
   if (series_.size() >= kMaxSeries) {
     ++dropped_series_;
-    // Mirror the drop count into a /varz gauge so scrapers notice a store
+    // Mirror the drop count into a /metrics gauge so scrapers notice a store
     // at capacity without reading /timeseriez (and /statusz can banner it).
     static metrics::Gauge* dropped_gauge =
         metrics::Registry::Global().GetGauge("gs_timeseries_dropped_series");

@@ -59,12 +59,6 @@ struct DataflowOptions {
   uint64_t max_events_per_version = 1ull << 34;
   /// Default cap on loop iterations (Iterate may override per-scope).
   uint32_t max_iterations = 1u << 20;
-  /// When true (default), algorithm builders index shared collections once
-  /// per shard through Arrange() (arrange.h) and probe the shared trace from
-  /// every consumer. When false they fall back to per-operator private
-  /// traces (the pre-arrangement plan shape) — kept selectable so
-  /// equivalence tests can compare the two plans on identical input.
-  bool use_arrangements = true;
   /// Per-run transaction against the process-level shared-arrangement
   /// cache (arrcache.h), threaded to operators by views::RunOnGraph. When
   /// set, qualifying arrangement owners (ArrangeOp, arranged ReduceOp)

@@ -7,9 +7,11 @@
 //   * scheduler tie-breaking: the (op_order, seq) components of EventKey are
 //     an efficiency heuristic below the lexicographic time order
 //     (scheduler.h). Scrambling `seq` is always safe. Scrambling `op_order`
-//     is safe for *unarranged* plans only: shared arrangements rely on the
-//     ArrangeOp running before its consumers at tied times (arrange.h), so
-//     arranged runs must keep operator-creation-order ties intact.
+//     is safe only for plans without shared arrangements: an arrangement
+//     relies on its ArrangeOp running before its consumers at tied times
+//     (arrange.h). Every named algorithm's plan is arranged, so the oracle
+//     scrambles `op_order` only for random operator DAGs built with plain
+//     joins.
 //   * exchange delivery order: ExchangeInbox::Drain returns batches in push
 //     order, but downstream operators bucket per timestamp and the
 //     scheduler orders timestamps, so any permutation of one drain is

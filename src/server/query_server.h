@@ -29,8 +29,8 @@
 //       Errors answer {"ok": false, "error"}: 400 for InvalidArgument,
 //       NotFound, AlreadyExists and GVDL parse errors, 500 otherwise.
 //   GET <path>
-//       Every status-server page (/metrics, /varz, /statusz, /healthz,
-//       ...) plus /sessionz (this server's session table), served from the
+//       Every status-server page (/metrics, /statusz, /healthz, ...)
+//       plus /sessionz (this server's session table), served from the
 //       same listener so one scrape target covers serving and engine
 //       state.
 //

@@ -65,12 +65,6 @@ void StatusServer::RegisterBuiltins() {
     r.content_type = "text/plain; version=0.0.4; charset=utf-8";
     return r;
   });
-  Handle("/varz", [] {
-    HttpResponse r;
-    r.body = metrics::Registry::Global().JsonSnapshot();
-    r.content_type = "application/json";
-    return r;
-  });
   Handle("/timeseriez", [] {
     HttpResponse r;
     r.body = timeseries::Store::Global().ToJson();

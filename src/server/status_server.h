@@ -21,7 +21,6 @@
 //               violated, 503 with a JSON body naming the violated rules
 //               otherwise (HEAD mirrors the status code)
 //   /metrics    Prometheus exposition text (metrics registry)
-//   /varz       metrics registry as a JSON object
 //   /timeseriez sampled metric history (common/timeseries) as JSON
 //   /tracez     newest trace_event spans per thread, Chrome trace JSON
 //   /statusz    every registered introspection source (running dataflows

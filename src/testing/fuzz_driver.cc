@@ -20,7 +20,10 @@ namespace {
 /// The planted lost-insert bug (--inject-bug): a fixed ring-with-chords WCC
 /// case whose Nth trace insert is silently dropped. The drop point is
 /// searched deterministically so the corruption is guaranteed to be
-/// output-visible (a dropped duplicate would be silently absorbed).
+/// output-visible (a dropped duplicate would be silently absorbed). The
+/// first two views keep the whole ring in component 0, where WCC's arranged
+/// plan absorbs a lost insert; the third cuts the ring into several
+/// components, so a lost adjacency row changes some vertex's label.
 FuzzCase InjectBugCase(uint64_t seed) {
   FuzzCase c;
   c.case_seed = fuzz::Mix(seed ^ 0xb06b06ull);
@@ -30,7 +33,7 @@ FuzzCase InjectBugCase(uint64_t seed) {
     c.edges.push_back(
         {i, (i * 5 + 3) % 12, 2, static_cast<int64_t>((i + 1) % 4)});
   }
-  c.predicates = {"w >= 0", "kind != 3"};
+  c.predicates = {"w >= 0", "kind != 3", "kind != 1 and kind != 3"};
   c.program.algo = Algo::kWcc;
   c.workers = 2;
   c.schedule_seed = fuzz::Mix(c.case_seed ^ 0x5c5c5c5cull);

@@ -21,7 +21,7 @@ namespace {
 /// deduplicated) edge relation. increment 0 is a WCC-style component min,
 /// increment 1 a BFS-style distance; both are monotone fixed points, so the
 /// loop converges regardless of schedule.
-dd::Stream<VV> IterateMinProp(dd::Dataflow* dataflow,
+dd::Stream<VV> IterateMinProp(bool arranged_joins,
                               analytics::EdgeStream edges,
                               dd::Stream<VV> child, int64_t increment) {
   auto seeds = dd::ReduceMin(child);
@@ -34,7 +34,7 @@ dd::Stream<VV> IterateMinProp(dd::Dataflow* dataflow,
                           const uint64_t& dst) {
     return std::make_pair(dst, v + increment);
   };
-  if (dataflow->options().use_arrangements) {
+  if (arranged_joins) {
     auto adjacency = dd::DistinctArranged(sym);
     return dd::Iterate<VV>(
         seeds, [&](dd::LoopScope& scope, dd::Stream<VV> inner) {
@@ -54,7 +54,7 @@ dd::Stream<VV> IterateMinProp(dd::Dataflow* dataflow,
       });
 }
 
-dd::Stream<VV> BuildDag(dd::Dataflow* dataflow, analytics::EdgeStream edges,
+dd::Stream<VV> BuildDag(bool arranged_joins, analytics::EdgeStream edges,
                         const std::vector<OpNode>& ops) {
   std::vector<dd::Stream<VV>> built;
   built.reserve(ops.size());
@@ -113,7 +113,7 @@ dd::Stream<VV> BuildDag(dd::Dataflow* dataflow, analytics::EdgeStream edges,
                        const int64_t& v2) {
             return std::make_pair(k, std::min(v1, v2));
           };
-          if (dataflow->options().use_arrangements) {
+          if (arranged_joins) {
             return dd::JoinArranged(child(op.child0),
                                     dd::Arrange(child(op.child1)), fn);
           }
@@ -136,7 +136,8 @@ dd::Stream<VV> BuildDag(dd::Dataflow* dataflow, analytics::EdgeStream edges,
               x.Filter([a](const VV& r) { return r.second >= a; }).Negate());
         }
         case OpNode::Kind::kIterateMinProp:
-          return IterateMinProp(dataflow, edges, child(op.child0), a % 2);
+          return IterateMinProp(arranged_joins, edges, child(op.child0),
+                                a % 2);
       }
       return child(op.child0);  // unreachable
     }();
@@ -148,19 +149,19 @@ dd::Stream<VV> BuildDag(dd::Dataflow* dataflow, analytics::EdgeStream edges,
 }  // namespace
 
 analytics::ResultStream FuzzComputation::GraphAnalytics(
-    dd::Dataflow* dataflow, analytics::EdgeStream edges) const {
+    analytics::EdgeStream edges) const {
   switch (spec_.algo) {
     case Algo::kWcc:
-      return analytics::Wcc().GraphAnalytics(dataflow, edges);
+      return analytics::Wcc().GraphAnalytics(edges);
     case Algo::kBfs:
       return analytics::Bfs(static_cast<VertexId>(spec_.param))
-          .GraphAnalytics(dataflow, edges);
+          .GraphAnalytics(edges);
     case Algo::kBellmanFord:
       return analytics::BellmanFord(static_cast<VertexId>(spec_.param))
-          .GraphAnalytics(dataflow, edges);
+          .GraphAnalytics(edges);
     case Algo::kPageRank:
       return analytics::PageRank(static_cast<uint32_t>(spec_.param))
-          .GraphAnalytics(dataflow, edges);
+          .GraphAnalytics(edges);
     case Algo::kRandom:
       break;
   }
@@ -169,7 +170,7 @@ analytics::ResultStream FuzzComputation::GraphAnalytics(
           ? edges.Map([](const WeightedEdge& e) {
               return std::make_pair(e.src, static_cast<int64_t>(e.dst));
             })
-          : BuildDag(dataflow, edges, spec_.ops);
+          : BuildDag(arranged_joins_, edges, spec_.ops);
   // The executor's capture path requires unit multiplicities; Distinct
   // normalizes whatever the random DAG produced.
   return dd::Distinct(root);

@@ -425,23 +425,28 @@ Status RunOracle(const FuzzCase& c, std::string* log) {
   mopts.use_ordering = c.use_ordering;
   GS_ASSIGN_OR_RETURN(views::MaterializedCollection collection,
                       views::MaterializeCollection(graph, def, mopts));
-  FuzzComputation computation(c.program);
+  // Named algorithms have one plan and ignore the join shape. A random
+  // DAG's golden run uses plain joins, so it alone tolerates op_order
+  // scrambling; its arranged shape must agree with it.
+  const bool random_dag = c.program.algo == Algo::kRandom;
+  const FuzzComputation plain(c.program, /*arranged_joins=*/false);
+  const FuzzComputation arranged(c.program, /*arranged_joins=*/true);
   const int weight_column = graph.FindWeightColumn("w");
 
-  auto base_options = [&](size_t workers, bool arranged) {
+  auto base_options = [&](size_t workers) {
     views::ExecutionOptions eo;
     eo.strategy = splitting::Strategy::kDiffOnly;
     eo.weight_column = weight_column;
     eo.capture_results = true;
     eo.dataflow.num_workers = workers;
-    eo.dataflow.use_arrangements = arranged;
     return eo;
   };
 
   // Runs one mode under the given hooks; checks the memory gauges return to
   // zero afterwards and appends the per-view result hashes to the log.
   auto run_mode =
-      [&](const std::string& mode, const views::ExecutionOptions& eo,
+      [&](const std::string& mode, const FuzzComputation& computation,
+          const views::ExecutionOptions& eo,
           const fuzz::Hooks& hooks) -> StatusOr<std::vector<ResultMap>> {
     std::vector<ResultMap> results;
     {
@@ -468,34 +473,37 @@ Status RunOracle(const FuzzCase& c, std::string* log) {
     return status;
   };
 
-  // ref: the golden serial unarranged run, hooks off.
-  auto ref = run_mode("ref", base_options(1, false), fuzz::Hooks{});
+  // ref: the golden serial run, hooks off.
+  auto ref = run_mode("ref", plain, base_options(1), fuzz::Hooks{});
   if (!ref.ok()) return finish(ref.status());
 
-  // serial-scrambled: every tie-break scrambled, injected compactions,
-  // tiny tail threshold.
-  auto scrambled = run_mode("serial-scrambled", base_options(1, false),
-                            PerturbHooks(c, /*scramble_op_order=*/true,
+  // serial-scrambled: every legal tie-break scrambled, injected
+  // compactions, tiny tail threshold.
+  auto scrambled = run_mode("serial-scrambled", plain, base_options(1),
+                            PerturbHooks(c, /*scramble_op_order=*/random_dag,
                                          /*shuffle_exchange=*/false));
   if (!scrambled.ok()) return finish(scrambled.status());
   GS_RETURN_IF_ERROR(
       finish(CompareResults("serial-scrambled", *ref, *scrambled)));
   out.str("");
 
-  // serial-arranged: shared arrangements; seq-only scrambling.
-  auto arranged = run_mode("serial-arranged", base_options(1, true),
-                           PerturbHooks(c, false, false));
-  if (!arranged.ok()) return finish(arranged.status());
-  GS_RETURN_IF_ERROR(
-      finish(CompareResults("serial-arranged", *ref, *arranged)));
-  out.str("");
+  // serial-arranged: the random DAG's arranged shape; seq-only scrambling.
+  if (random_dag) {
+    auto serial_arranged = run_mode("serial-arranged", arranged,
+                                    base_options(1),
+                                    PerturbHooks(c, false, false));
+    if (!serial_arranged.ok()) return finish(serial_arranged.status());
+    GS_RETURN_IF_ERROR(
+        finish(CompareResults("serial-arranged", *ref, *serial_arranged)));
+    out.str("");
+  }
 
-  // sharded: the case's worker count; arranged-or-not by seed coin;
+  // sharded: the case's worker count; the random DAG's shape by seed coin;
   // exchange-delivery shuffling on top.
   const bool sharded_arranged = (fuzz::Mix(c.schedule_seed ^ 0xa44) & 1) != 0;
   auto sharded =
       run_mode("sharded-w" + std::to_string(c.workers),
-               base_options(c.workers, sharded_arranged),
+               sharded_arranged ? arranged : plain, base_options(c.workers),
                PerturbHooks(c, false, /*shuffle_exchange=*/true));
   if (!sharded.ok()) return finish(sharded.status());
   GS_RETURN_IF_ERROR(finish(CompareResults("sharded", *ref, *sharded)));
@@ -504,9 +512,9 @@ Status RunOracle(const FuzzCase& c, std::string* log) {
   // scratch: every view from scratch — no cross-view sharing to hide
   // state corruption behind.
   {
-    views::ExecutionOptions eo = base_options(1, false);
+    views::ExecutionOptions eo = base_options(1);
     eo.strategy = splitting::Strategy::kScratch;
-    auto scratch = run_mode("scratch", eo, fuzz::Hooks{});
+    auto scratch = run_mode("scratch", plain, eo, fuzz::Hooks{});
     if (!scratch.ok()) return finish(scratch.status());
     GS_RETURN_IF_ERROR(finish(CompareResults("scratch", *ref, *scratch)));
     out.str("");
@@ -575,7 +583,7 @@ Status RunOracle(const FuzzCase& c, std::string* log) {
   // mutate: streaming mutation epochs — incremental maintenance + live
   // differential feed vs reload-from-scratch at every epoch.
   if (!c.mutation_epochs.empty()) {
-    Status mutate = MutateMode(c, def, computation, out);
+    Status mutate = MutateMode(c, def, arranged, out);
     if (!mutate.ok()) return finish(mutate);
     Status gauges = CheckArrangementGaugesZero();
     if (!gauges.ok()) {
@@ -589,13 +597,13 @@ Status RunOracle(const FuzzCase& c, std::string* log) {
   // Status (or finish if the budget was never hit), leave the gauges at
   // zero, and a clean retry must reproduce the golden results.
   if (c.fail_after_events != 0) {
-    fuzz::Hooks h = PerturbHooks(c, true, false);
+    fuzz::Hooks h = PerturbHooks(c, random_dag, false);
     h.fail_after_events = c.fail_after_events;
     Status fault_status;
     {
       fuzz::ScopedHooks scoped(h);
-      auto r = views::RunOnCollection(computation, graph, collection,
-                                      base_options(1, false));
+      auto r = views::RunOnCollection(plain, graph, collection,
+                                      base_options(1));
       fault_status = r.ok() ? Status::Ok() : r.status();
     }
     Status gauges = CheckArrangementGaugesZero();
@@ -605,7 +613,7 @@ Status RunOracle(const FuzzCase& c, std::string* log) {
     }
     out << "  fault: "
         << (fault_status.ok() ? "not-triggered" : "triggered") << "\n";
-    auto retry = run_mode("fault-retry", base_options(1, false),
+    auto retry = run_mode("fault-retry", plain, base_options(1),
                           fuzz::Hooks{});
     if (!retry.ok()) return finish(retry.status());
     GS_RETURN_IF_ERROR(finish(CompareResults("fault-retry", *ref, *retry)));

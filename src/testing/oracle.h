@@ -2,13 +2,18 @@
 // same computation over the same view collection through independent
 // execution paths:
 //
-//   ref              serial, unarranged, no hooks — the golden run
-//   serial-scrambled serial, unarranged, full schedule fuzz (seq + op_order
-//                    tie scrambling, injected compactions, tail-seal 1)
-//   serial-arranged  serial, shared arrangements, seq-only scrambling
-//                    (op_order ties are load-bearing for arrangements)
+//   ref              serial, no hooks — the golden run
+//   serial-scrambled serial, full schedule fuzz (seq tie scrambling,
+//                    injected compactions, tail-seal 1); op_order ties are
+//                    scrambled too for random DAGs, whose golden shape uses
+//                    plain joins (op_order ties are load-bearing for
+//                    arrangements, so the named algorithms keep them)
+//   serial-arranged  random DAGs only: the arranged-join shape with
+//                    seq-only scrambling — the check that JoinArranged
+//                    agrees with Join
 //   sharded          multi-worker at the case's W, exchange-delivery
-//                    shuffling on top of seq scrambling
+//                    shuffling on top of seq scrambling; a random DAG's
+//                    join shape is picked by seed coin
 //   scratch          per-view from-scratch strategy (no differential
 //                    sharing at all)
 //   reference        sequential non-dataflow implementations

@@ -38,8 +38,7 @@ struct Engine {
     for (size_t w = 0; w < dataflow.num_workers(); ++w) {
       edges.emplace_back(dataflow.worker(w));
       captures.push_back(differential::Capture(
-          computation.GraphAnalytics(dataflow.worker(w),
-                                     edges[w].stream())));
+          computation.GraphAnalytics(edges[w].stream())));
     }
   }
 

@@ -278,23 +278,25 @@ StatusOr<ExecutionResult> RunOnCollection(
   return result;
 }
 
+std::string ArrangementCacheTag(const analytics::Computation& computation,
+                                const ExecutionOptions& options) {
+  return computation.cache_tag() + "/w" +
+         std::to_string(options.dataflow.num_workers) + "/c" +
+         std::to_string(options.weight_column);
+}
+
 StatusOr<analytics::ResultMap> RunOnGraph(
     const analytics::Computation& computation, const PropertyGraph& graph,
     const ExecutionOptions& options) {
   GS_RETURN_IF_ERROR(graph.CheckWeightColumn(options.weight_column));
   // Single-version runs qualify for the process-level arrangement cache:
-  // one transaction per run, builder or reader role decided by Begin. The
-  // tag captures everything that shapes the dataflow and its arrangement
-  // contents beyond the graph itself (the scope covers the graph).
+  // one transaction per run, builder or reader role decided by Begin.
   dd::DataflowOptions dopts = options.dataflow;
   std::shared_ptr<dd::ArrCacheTxn> txn;
   if (!options.arrangement_cache_scope.empty()) {
-    const std::string tag = computation.cache_tag() + "/w" +
-                            std::to_string(dopts.num_workers) + "/c" +
-                            std::to_string(options.weight_column) + "/a" +
-                            (dopts.use_arrangements ? "1" : "0");
     txn = dd::ArrangementCache::Global().Begin(
-        options.arrangement_cache_scope, tag);
+        options.arrangement_cache_scope,
+        ArrangementCacheTag(computation, options));
     dopts.arrcache = txn;
   }
   Engine engine(computation, dopts);

@@ -108,6 +108,13 @@ StatusOr<ExecutionResult> RunOnCollection(
     const MaterializedCollection& collection,
     const ExecutionOptions& options);
 
+/// The arrangement-cache tag RunOnGraph files a run under:
+/// `<cache_tag>/w<num_workers>/c<weight_column>`. It captures everything
+/// that shapes the dataflow and its arrangement contents beyond the graph
+/// itself (the cache scope covers the graph).
+std::string ArrangementCacheTag(const analytics::Computation& computation,
+                                const ExecutionOptions& options);
+
 /// Runs `computation` once over a full graph (a single view). Iterative
 /// computations still share work across their own iterations.
 StatusOr<analytics::ResultMap> RunOnGraph(

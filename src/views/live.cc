@@ -226,7 +226,7 @@ Status LiveRun::AdvanceEpoch(const std::vector<EdgeId>& touched_edges) {
       "gs_live_epoch_input_diffs");
   epochs_fed->Increment();
   input_diffs->Observe(last_epoch_input_diffs_);
-  // Where this epoch's engine time went, as cumulative /varz counters: a
+  // Where this epoch's engine time went, as cumulative /metrics counters: a
   // scraper can diff two samples to see whether live maintenance is
   // operator-bound or stalled on barriers/exchange.
   struct StateCounter {

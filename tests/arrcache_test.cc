@@ -18,6 +18,7 @@
 #include "common/metrics.h"
 #include "graph/generators.h"
 #include "graph/mutation.h"
+#include "views/executor.h"
 
 namespace gs::differential {
 namespace {
@@ -245,9 +246,9 @@ TEST(ArrCacheTest, InvalidateScopeExactAndPrefix) {
 // tests in this binary cannot skew the assertions.
 
 std::string DefaultTag(const analytics::Computation& c) {
-  // Mirrors views::RunOnGraph's tag for default ExecutionOptions:
-  // one worker, no weight column, arrangements enabled.
-  return c.cache_tag() + "/w1/c-1/a1";
+  // views::RunOnGraph's tag for default ExecutionOptions: one worker, no
+  // weight column.
+  return views::ArrangementCacheTag(c, views::ExecutionOptions());
 }
 
 TEST(ArrCacheFacadeTest, RepeatedRunOnViewHitsCache) {

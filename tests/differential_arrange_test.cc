@@ -11,11 +11,7 @@
 #include <utility>
 #include <vector>
 
-#include "algorithms/algorithms.h"
 #include "common/random.h"
-#include "graph/generators.h"
-#include "gvdl/parser.h"
-#include "views/executor.h"
 
 namespace gs::differential {
 namespace {
@@ -301,88 +297,6 @@ TEST(ArrangeTest, UnchangedReductionPublishesNoBatch) {
   ASSERT_TRUE(dataflow.Step().ok());
   EXPECT_EQ(ToMap(capture->VersionDiffs(2)),
             (std::map<IntPair, Diff>{{{1, 5}, -1}, {{1, 9}, 1}}));
-}
-
-// ---------------------------------------------------------------------------
-// Full-system equivalence: with arrangements on (the default) the analytics
-// results on a view collection are byte-identical to the unarranged plans,
-// serial and sharded.
-
-struct CollectionFixture {
-  PropertyGraph graph;
-  views::MaterializedCollection collection;
-
-  static CollectionFixture Windows(size_t num_views) {
-    CollectionFixture f;
-    TemporalGraphOptions opts;
-    opts.num_nodes = 90;
-    opts.num_edges = 900;
-    opts.end_time = 1000;
-    f.graph = GenerateTemporalGraph(opts);
-    std::string text = "create view collection w on G ";
-    for (size_t i = 0; i < num_views; ++i) {
-      if (i) text += ", ";
-      text += "[w" + std::to_string(i) + ": timestamp <= " +
-              std::to_string(1000 * (i + 1) / num_views) + "]";
-    }
-    auto stmt = gvdl::Parse(text);
-    EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
-    views::MaterializeOptions mopts;
-    auto mc = views::MaterializeCollection(
-        f.graph, std::get<gvdl::ViewCollectionDef>(*stmt), mopts);
-    EXPECT_TRUE(mc.ok()) << mc.status().ToString();
-    f.collection = std::move(*mc);
-    return f;
-  }
-};
-
-void ExpectArrangedRunsMatchUnarranged(
-    const analytics::Computation& computation, const CollectionFixture& f) {
-  views::ExecutionOptions opts;
-  opts.capture_results = true;
-  opts.dataflow.num_workers = 1;
-  opts.dataflow.use_arrangements = false;
-  auto reference =
-      views::RunOnCollection(computation, f.graph, f.collection, opts);
-  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-
-  for (size_t workers : {1, 4}) {
-    opts.dataflow.num_workers = workers;
-    opts.dataflow.use_arrangements = true;
-    auto run = views::RunOnCollection(computation, f.graph, f.collection,
-                                      opts);
-    ASSERT_TRUE(run.ok()) << run.status().ToString();
-    ASSERT_EQ(run->results.size(), reference->results.size());
-    for (size_t t = 0; t < reference->results.size(); ++t) {
-      EXPECT_EQ(run->results[t], reference->results[t])
-          << computation.name() << " arranged with " << workers
-          << " workers diverges on view " << t;
-    }
-    for (size_t t = 0; t < reference->per_view.size(); ++t) {
-      EXPECT_EQ(run->per_view[t].output_diffs,
-                reference->per_view[t].output_diffs)
-          << computation.name() << " arranged workers=" << workers
-          << " view " << t;
-    }
-    // Arranged plans actually share traces.
-    EXPECT_GT(run->engine_stats.arrangement_shares, 0u)
-        << computation.name();
-  }
-}
-
-TEST(ArrangedEquivalenceTest, Wcc) {
-  CollectionFixture f = CollectionFixture::Windows(5);
-  ExpectArrangedRunsMatchUnarranged(analytics::Wcc(), f);
-}
-
-TEST(ArrangedEquivalenceTest, PageRank) {
-  CollectionFixture f = CollectionFixture::Windows(4);
-  ExpectArrangedRunsMatchUnarranged(analytics::PageRank(6), f);
-}
-
-TEST(ArrangedEquivalenceTest, Bfs) {
-  CollectionFixture f = CollectionFixture::Windows(4);
-  ExpectArrangedRunsMatchUnarranged(analytics::Bfs(f.graph.edge(0).src), f);
 }
 
 }  // namespace

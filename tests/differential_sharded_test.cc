@@ -383,6 +383,8 @@ void ExpectShardedRunsMatchSerial(const analytics::Computation& computation,
   auto serial =
       views::RunOnCollection(computation, f.graph, f.collection, opts);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  // The last view holds the whole graph, so no case passes vacuously.
+  ASSERT_FALSE(serial->results.back().empty()) << computation.name();
 
   for (size_t workers : {2, 4, 7}) {
     opts.dataflow.num_workers = workers;
@@ -402,6 +404,9 @@ void ExpectShardedRunsMatchSerial(const analytics::Computation& computation,
                 serial->per_view[t].output_diffs)
           << computation.name() << " workers=" << workers << " view " << t;
     }
+    // Every algorithm's plan probes shared arrangements.
+    EXPECT_GT(sharded->engine_stats.arrangement_shares, 0u)
+        << computation.name() << " workers=" << workers;
   }
 }
 
@@ -426,6 +431,20 @@ TEST(ShardedDeterminismTest, BellmanFord) {
 TEST(ShardedDeterminismTest, Bfs) {
   CollectionFixture f = CollectionFixture::Windows(4);
   ExpectShardedRunsMatchSerial(analytics::Bfs(f.graph.edge(0).src), f);
+}
+
+TEST(ShardedDeterminismTest, Scc) {
+  CollectionFixture f = CollectionFixture::Windows(4);
+  ExpectShardedRunsMatchSerial(analytics::Scc(), f);
+}
+
+TEST(ShardedDeterminismTest, Mpsp) {
+  CollectionFixture f = CollectionFixture::Windows(4);
+  int weight_col = f.graph.FindWeightColumn("weight");
+  ASSERT_GE(weight_col, 0);
+  analytics::Mpsp mpsp({{f.graph.edge(0).src, f.graph.edge(1).dst},
+                        {f.graph.edge(2).src, f.graph.edge(3).dst}});
+  ExpectShardedRunsMatchSerial(mpsp, f, weight_col);
 }
 
 }  // namespace

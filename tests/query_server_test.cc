@@ -19,6 +19,7 @@
 #include "differential/arrcache.h"
 #include "graph/generators.h"
 #include "test_util.h"
+#include "views/executor.h"
 
 namespace gs::server {
 namespace {
@@ -39,6 +40,13 @@ HttpReply Query(uint16_t port, const std::string& session,
   return HttpPost(port, "/query",
                   "{\"session\": \"" + session + "\", \"statement\": \"" +
                       statement + "\"}");
+}
+
+/// The arrangement-cache tag of a `run wcc on G` statement: one worker, no
+/// weight column.
+std::string WccCacheTag() {
+  return views::ArrangementCacheTag(analytics::Wcc(),
+                                    views::ExecutionOptions());
 }
 
 /// The exact body `get results` renders for a single-view run on `target`,
@@ -112,8 +120,8 @@ TEST_F(QueryServerTest, ConcurrentSessionsShareOneArrangementBuild) {
 
   const std::string scope = server_.ArrangementCacheScope("G");
   ASSERT_FALSE(scope.empty());
-  auto stats = differential::ArrangementCache::Global().Stats(
-      scope, analytics::Wcc().cache_tag() + "/w1/c-1/a1");
+  auto stats =
+      differential::ArrangementCache::Global().Stats(scope, WccCacheTag());
   ASSERT_TRUE(stats.has_value()) << "no cache entry under scope " << scope;
   EXPECT_EQ(stats->misses, 1u) << "the arrangement was built more than once";
   EXPECT_GE(stats->hits, 1u) << "the second session did not share the build";
@@ -407,8 +415,7 @@ TEST_F(QueryServerTest, ConcurrentClientsAcrossSessionsStayIsolated) {
 
   // All those "run wcc on G" statements shared one arrangement build.
   auto stats = differential::ArrangementCache::Global().Stats(
-      server_.ArrangementCacheScope("G"),
-      analytics::Wcc().cache_tag() + "/w1/c-1/a1");
+      server_.ArrangementCacheScope("G"), WccCacheTag());
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->misses, 1u);
   EXPECT_GE(stats->hits,
@@ -418,9 +425,9 @@ TEST_F(QueryServerTest, ConcurrentClientsAcrossSessionsStayIsolated) {
 TEST_F(QueryServerTest, StopIsIdempotentAndDropsCacheEntriesOnDestruction) {
   ASSERT_EQ(Query(server_.port(), "s", "run wcc on G").status_code, 200);
   const std::string scope = server_.ArrangementCacheScope("G");
-  ASSERT_TRUE(differential::ArrangementCache::Global()
-                  .Stats(scope, analytics::Wcc().cache_tag() + "/w1/c-1/a1")
-                  ->resident);
+  ASSERT_TRUE(
+      differential::ArrangementCache::Global().Stats(scope, WccCacheTag())
+          ->resident);
   server_.Stop();
   server_.Stop();  // idempotent
   {
@@ -434,8 +441,8 @@ TEST_F(QueryServerTest, StopIsIdempotentAndDropsCacheEntriesOnDestruction) {
   // The destroyed server's entries are invalidated; ours (a different
   // instance prefix) were dropped by our own Stop+destruction path only at
   // destruction, so the surviving entry count excludes the scoped server.
-  auto stats = differential::ArrangementCache::Global().Stats(
-      scope, analytics::Wcc().cache_tag() + "/w1/c-1/a1");
+  auto stats =
+      differential::ArrangementCache::Global().Stats(scope, WccCacheTag());
   ASSERT_TRUE(stats.has_value());
   EXPECT_TRUE(stats->resident) << "Stop() must not drop cache entries; "
                                   "destruction does";

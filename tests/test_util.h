@@ -36,8 +36,7 @@ class ComputationRunner {
       const analytics::Computation& computation,
       dd::DataflowOptions options = dd::DataflowOptions())
       : dataflow_(options), edges_(&dataflow_) {
-    capture_ = dd::Capture(
-        computation.GraphAnalytics(&dataflow_, edges_.stream()));
+    capture_ = dd::Capture(computation.GraphAnalytics(edges_.stream()));
   }
 
   /// Applies `diffs` as the next version and runs to fixpoint.
