@@ -131,12 +131,13 @@ ResultStream PageRank::GraphAnalytics(EdgeStream edges) const {
                             const uint64_t& dst) {
     return std::make_pair(dst, share);
   };
-  // rank = base + Σ contributions; summing the concat of the base
-  // collection and the contributions computes exactly that.
-  auto sum_ranks = [](const uint64_t&, const dd::Batch<int64_t>& in,
+  // rank = base + Σ contributions. The weight step moves the base rank and
+  // each share into its update's diff, so an additive reduce keeps one
+  // running total per vertex and iteration. Base() > 0 and every share is
+  // ≥ 0, so a live vertex's total is never the 0 that would emit nothing.
+  auto as_weight = [](const int64_t& rank) { return rank; };
+  auto sum_ranks = [](const uint64_t&, dd::Diff total,
                       dd::Batch<int64_t>* out) {
-    int64_t total = 0;
-    for (const auto& u : in) total += u.data * u.diff;
     out->push_back(dd::Update<int64_t>{total, 1});
   };
 
@@ -158,7 +159,8 @@ ResultStream PageRank::GraphAnalytics(EdgeStream edges) const {
         auto shares = dd::JoinArranged(ranks, degrees_in, to_share);
         auto contributions =
             dd::JoinArranged(shares, edges_in, to_contribution);
-        return dd::Reduce<int64_t>(contributions.Concat(base_in), sum_ranks);
+        return dd::Reduce<int64_t>(
+            dd::Weigh(contributions.Concat(base_in), as_weight), sum_ranks);
       },
       options);
 }

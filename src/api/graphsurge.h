@@ -38,8 +38,8 @@ namespace gs {
 struct GraphsurgeOptions {
   /// Worker parallelism for view materialization and for the differential
   /// engine's sharded multi-worker execution (paper: TD/DD workers).
-  /// Computations pick this up when ExecutionOptions leaves
-  /// dataflow.num_workers at 0 ("system default").
+  /// Computations use it unless their ExecutionOptions or LiveRunOptions
+  /// set dataflow.num_workers, whose default 0 means "system default".
   size_t num_workers = 1;
   /// Apply the collection ordering optimizer when materializing
   /// collections (paper §4). Off by default, as in the paper's

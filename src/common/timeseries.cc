@@ -54,13 +54,15 @@ void AppendStats(std::string* out, const SeriesStats& stats) {
 
 uint64_t NowMillis() {
   using Clock = std::chrono::steady_clock;
-  // Origin = first call (the earliest metrics/health-plane activity in the
-  // process). Only differences between NowMillis values are meaningful.
+  // Origin = 1 ms before the first call (the earliest metrics/health-plane
+  // activity in the process), so no reading is 0: in-progress markers such
+  // as gs_live_epoch_advance_started_ms use 0 for "none in flight". Only
+  // differences between NowMillis values are meaningful.
   static const Clock::time_point origin = Clock::now();
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                            origin)
-          .count());
+  return 1 + static_cast<uint64_t>(
+                 std::chrono::duration_cast<std::chrono::milliseconds>(
+                     Clock::now() - origin)
+                     .count());
 }
 
 Series::Series(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {

@@ -35,7 +35,8 @@
 
 namespace gs::timeseries {
 
-/// Milliseconds elapsed since process start, on the steady clock. The time
+/// Milliseconds elapsed since process start, on the steady clock, counted
+/// from 1 (never 0, which in-progress markers reserve for "none"). The time
 /// origin shared by samples, watchdog deadlines, and in-progress markers.
 uint64_t NowMillis();
 

@@ -99,6 +99,46 @@ class FlatMapOp : public OperatorBase {
   Publisher<Out> output_;
 };
 
+/// DD's `explode` for a keyed stream: (k, v) with diff d leaves as (k, Unit)
+/// with diff weight(v) × d. Publish consolidates the batch, so one key's
+/// records at one time leave as a single update carrying their weighted
+/// sum — the pre-aggregation an additive Reduce (reduce.h) reads, done
+/// before its exchange.
+template <typename K, typename V, typename Fn>
+class WeighOp : public OperatorBase {
+ public:
+  WeighOp(Dataflow* dataflow, Stream<std::pair<K, V>> in, Fn weight)
+      : OperatorBase(dataflow, "weigh"), weight_(std::move(weight)) {
+    RegisterOutput(&output_);
+    in.publisher()->Subscribe(
+        dataflow, order(),
+        [this](const Time& t, const Batch<std::pair<K, V>>& b) {
+          OnInput(t, b);
+        });
+  }
+
+  Stream<std::pair<K, Unit>> stream() {
+    return Stream<std::pair<K, Unit>>(dataflow_, &output_);
+  }
+
+ private:
+  void OnInput(const Time& time, const Batch<std::pair<K, V>>& batch) {
+    Batch<std::pair<K, Unit>> out;
+    out.reserve(batch.size());
+    for (const Update<std::pair<K, V>>& u : batch) {
+      const Diff weight = static_cast<Diff>(weight_(u.data.second));
+      Diff diff = 0;
+      GS_CHECK(!__builtin_mul_overflow(weight, u.diff, &diff))
+          << "weight × diff overflows at " << time.ToString();
+      out.push_back(Update<std::pair<K, Unit>>{{u.data.first, Unit{}}, diff});
+    }
+    output_.Publish(dataflow_, time, std::move(out));
+  }
+
+  Fn weight_;
+  Publisher<std::pair<K, Unit>> output_;
+};
+
 template <typename D>
 class ConcatOp : public OperatorBase {
  public:
@@ -242,6 +282,15 @@ auto FlatMapDeduce(const Stream<D>& in, Fn fn,
   auto* op =
       in.dataflow()->template AddOperator<FlatMapOp<D, Out, Fn>>(in,
                                                                  std::move(fn));
+  return op->stream();
+}
+
+/// Moves each record's weight into its diff (see WeighOp): the input an
+/// additive Reduce sums.
+template <typename K, typename V, typename Fn>
+Stream<std::pair<K, Unit>> Weigh(Stream<std::pair<K, V>> in, Fn weight) {
+  auto* op = in.dataflow()->template AddOperator<WeighOp<K, V, Fn>>(
+      in, std::move(weight));
   return op->stream();
 }
 

@@ -23,11 +23,22 @@
 // when arranged() shares it downstream, and both as a shadow in
 // GRAPHSURGE_PARANOID builds, which cross-check every evaluation against
 // them.
+//
+// The user function's signature picks the input side. A multiset reduce's
+// function reads the key's consolidated values, so its history keeps every
+// (iteration, value) entry. An additive reduce's function reads only the
+// key's weighted count — DD's count / reduce_abelian — so its history is
+// one (iteration, total) entry per iteration and its accumulation a single
+// running total: an update costs O(1) instead of a walk over the key's
+// values. Weights travel in the diff (Weigh, operators.h), and a total of 0
+// emits nothing. Scheduling, the output side and the depth ≥ 2 trace path
+// are shared by both.
 #ifndef GRAPHSURGE_DIFFERENTIAL_REDUCE_H_
 #define GRAPHSURGE_DIFFERENTIAL_REDUCE_H_
 
 #include <algorithm>
 #include <map>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -35,6 +46,7 @@
 #include "differential/arrange.h"
 #include "differential/dataflow.h"
 #include "differential/exchange.h"
+#include "differential/operators.h"
 #include "differential/trace.h"
 
 namespace gs::differential {
@@ -46,6 +58,12 @@ namespace gs::differential {
 /// be tolerated) and `output` receives the desired output multiset.
 /// Keys whose input multiset is empty produce no output (DD convention).
 ///
+/// An additive reduce instead takes
+///   void fn(const K& key, Diff total, Batch<Out>* output)
+/// where `total` is the sum of the key's input diffs (values are ignored;
+/// put weights into the diffs with Weigh). fn is called only for a non-zero
+/// total: a key whose total is 0 produces no output.
+///
 /// The input is either owned (stream constructor: the per-key histories are
 /// built from the exchanged batches themselves) or shared (Arranged
 /// constructor: a key's first evaluation reads its history from the
@@ -55,6 +73,9 @@ namespace gs::differential {
 /// the output trace before they are published.
 template <typename K, typename V, typename Out, typename Fn>
 class ReduceOp : public OperatorBase {
+  static constexpr bool kAdditive =
+      std::is_invocable_v<Fn&, const K&, Diff, Batch<Out>*>;
+
  public:
   ReduceOp(Dataflow* dataflow, Stream<std::pair<K, V>> in, Fn fn)
       : OperatorBase(dataflow, "reduce"),
@@ -169,6 +190,12 @@ class ReduceOp : public OperatorBase {
     Diff diff;
   };
 
+  // The input side's history entry and accumulation. An additive reduce
+  // drops the values (their weights already sit in the diffs), keeping one
+  // entry per iteration and a running total.
+  using InEntry = IterEntry<std::conditional_t<kAdditive, Unit, V>>;
+  using InAcc = std::conditional_t<kAdditive, Diff, Batch<V>>;
+
   /// Persistent per-key evaluation state at depth ≤ 1 — the key's input and
   /// output histories in iteration-major form, plus running accumulations.
   ///
@@ -176,25 +203,27 @@ class ReduceOp : public OperatorBase {
   ///   - `hist` holds exactly the key's input history (the per-(value,
   ///     iteration) diff sums of every update delivered for the key),
   ///     sorted by iteration; `out_hist` likewise for the emitted output.
+  ///     An additive `hist` holds the per-iteration totals instead, at most
+  ///     one non-zero entry per iteration.
   ///   - `acc` is the consolidated sum of hist[0, pos), where [0, pos) is
-  ///     exactly the entries with iter ≤ cur_iter; `out_acc`/`out_pos`
-  ///     do the same for the output.
+  ///     exactly the entries with iter ≤ cur_iter (additive: their total);
+  ///     `out_acc`/`out_pos` do the same for the output.
   /// Maintained incrementally from the key's slice of each arriving batch
   /// (batch keys are always evaluated at the batch's time; a shared
   /// arrangement inserts exactly the batches it delivers) and from each
   /// emitted delta. Depth ≥ 2 times (nested Iterate) leave the
   /// iteration-scalar regime and walk the traces per evaluation instead.
   struct KeyState {
-    std::vector<IterEntry<V>> hist;       // sorted by iter
+    std::vector<InEntry> hist;             // sorted by iter
     std::vector<IterEntry<Out>> out_hist;  // sorted by iter
-    Batch<V> acc;
+    InAcc acc{};
     Batch<Out> out_acc;
     /// Snapshots of (acc, pos) / (out_acc, out_pos) at iteration 0. Every
     /// version's first evaluation of a key lands at iteration 0, so the
     /// cursor's once-per-version backward sweep (from wherever the previous
     /// version converged) is replaced by restoring these — O(accumulation)
     /// instead of O(entries between the iterations).
-    Batch<V> base_acc;
+    InAcc base_acc{};
     Batch<Out> base_out_acc;
     size_t base_pos = 0;
     size_t base_out_pos = 0;
@@ -353,6 +382,8 @@ class ReduceOp : public OperatorBase {
     }
     acc->insert(it, Update<U>{value, diff});
   }
+  // An additive accumulation is the running total itself.
+  static void AccAdd(Diff* acc, const Unit&, Diff diff) { *acc += diff; }
 
   template <typename U>
   static void PurgeZeros(Batch<U>* acc) {
@@ -361,14 +392,15 @@ class ReduceOp : public OperatorBase {
                               [](const Update<U>& u) { return u.diff == 0; }),
                acc->end());
   }
+  static void PurgeZeros(Diff*) {}
 
   // Moves the cursor of (hist, pos, acc) to iteration `iter`, folding
   // crossed entries into `acc` (negated when moving backward — a new
   // version can re-enter the loop at a lower iteration than the previous
   // version converged at).
-  template <typename U>
+  template <typename U, typename Acc>
   static void SeekCursor(std::vector<IterEntry<U>>* hist, size_t* pos,
-                         uint32_t iter, Batch<U>* acc) {
+                         uint32_t iter, Acc* acc) {
     while (*pos < hist->size() && (*hist)[*pos].iter <= iter) {
       const IterEntry<U>& e = (*hist)[(*pos)++];
       AccAdd(acc, e.value, e.diff);
@@ -379,13 +411,6 @@ class ReduceOp : public OperatorBase {
     }
   }
 
-  // Consolidates `hist` by (iteration, value) once it has grown 2× past
-  // the last consolidated size: cross-epoch retract/insert pairs landing
-  // at the same iteration cancel, keeping the evaluation index near the
-  // converged-history size. Iterations are never merged with each other —
-  // probes at intermediate iterations still tell them apart. The prefix
-  // sums by iteration are preserved, so `acc` stays valid; only the cursor
-  // index needs recomputing.
   /// Index of the first entry with iter > `iter` in a sorted history.
   template <typename U>
   static size_t PrefixEnd(const std::vector<IterEntry<U>>& hist,
@@ -398,11 +423,12 @@ class ReduceOp : public OperatorBase {
         hist.begin());
   }
 
+  // Consolidates `hist` by (iteration, value), dropping entries that sum to
+  // zero. Iterations are never merged with each other — probes at
+  // intermediate iterations still tell them apart — so the prefix sums by
+  // iteration are preserved and only a cursor index needs recomputing.
   template <typename U>
-  static bool MaybeConsolidateHist(std::vector<IterEntry<U>>* hist,
-                                   size_t* pos, size_t* lwm,
-                                   uint32_t cur_iter) {
-    if (hist->size() < 32 || hist->size() < 2 * *lwm) return false;
+  static void ConsolidateHist(std::vector<IterEntry<U>>* hist) {
     std::sort(hist->begin(), hist->end(),
               [](const IterEntry<U>& a, const IterEntry<U>& b) {
                 if (a.iter != b.iter) return a.iter < b.iter;
@@ -425,9 +451,29 @@ class ReduceOp : public OperatorBase {
       i = j;
     }
     hist->resize(out);
-    *lwm = out;
+  }
+
+  // Consolidates `hist` once it has grown 2× past the last consolidated
+  // size: cross-epoch retract/insert pairs landing at the same iteration
+  // cancel, keeping the evaluation index near the converged-history size.
+  // `acc` stays valid; the cursor index is recomputed.
+  template <typename U>
+  static bool MaybeConsolidateHist(std::vector<IterEntry<U>>* hist,
+                                   size_t* pos, size_t* lwm,
+                                   uint32_t cur_iter) {
+    if (hist->size() < 32 || hist->size() < 2 * *lwm) return false;
+    ConsolidateHist(hist);
+    *lwm = hist->size();
     *pos = PrefixEnd(*hist, cur_iter);
     return true;
+  }
+
+  static InEntry MakeInEntry(uint32_t iter, const V& value, Diff diff) {
+    if constexpr (kAdditive) {
+      return InEntry{iter, Unit{}, diff};
+    } else {
+      return InEntry{iter, value, diff};
+    }
   }
 
   // Adds `bytes` to the KeyState history size, tracking its high-water mark.
@@ -449,17 +495,18 @@ class ReduceOp : public OperatorBase {
     const uint32_t iter0 = time.iters[0];
     if (input_ == &owned_input_) {
       for (const auto* u = nb; u != ne; ++u) {
-        state->hist.push_back(IterEntry<V>{iter0, u->data.second, u->diff});
+        state->hist.push_back(MakeInEntry(iter0, u->data.second, u->diff));
       }
     } else {
       input_->ForEach(key, [&](const V& value, const Time& t, Diff diff) {
-        state->hist.push_back(IterEntry<V>{t.iters[0], value, diff});
+        state->hist.push_back(MakeInEntry(t.iters[0], value, diff));
       });
       std::sort(state->hist.begin(), state->hist.end(),
-                [](const IterEntry<V>& a, const IterEntry<V>& b) {
+                [](const InEntry& a, const InEntry& b) {
                   return a.iter < b.iter;
                 });
     }
+    if constexpr (kAdditive) ConsolidateHist(&state->hist);
     state->hist_lwm = state->hist.size();
     SeekCursor(&state->hist, &state->pos, 0, &state->acc);
     state->base_acc = state->acc;
@@ -467,9 +514,78 @@ class ReduceOp : public OperatorBase {
     SeekCursor(&state->hist, &state->pos, iter0, &state->acc);
     state->cur_iter = iter0;
     state->built = true;
-    GrowStatesBytes(state->hist.size() * sizeof(IterEntry<V>));
+    GrowStatesBytes(state->hist.size() * sizeof(InEntry));
     ScheduleTailVisits(time, state->hist, state->pos, key);
   }
+
+  // Folds the key's new deltas [nb, ne), which arrived at the cursor's
+  // iteration, into its input history and accumulations.
+  void FoldInput(KeyState* state, const Update<std::pair<K, V>>* nb,
+                 const Update<std::pair<K, V>>* ne) {
+    const uint32_t iter0 = state->cur_iter;
+    if constexpr (kAdditive) {
+      Diff delta = 0;
+      for (const auto* u = nb; u != ne; ++u) delta += u->diff;
+      state->acc += delta;
+      if (iter0 == 0) state->base_acc += delta;
+      // hist[0, pos) ends with this iteration's entry, if it has one; an
+      // entry whose total cancels to 0 is dropped.
+      if (state->pos > 0 && state->hist[state->pos - 1].iter == iter0) {
+        Diff& total = state->hist[state->pos - 1].diff;
+        total += delta;
+        if (total == 0) {
+          state->hist.erase(state->hist.begin() + --state->pos);
+          if (iter0 == 0) --state->base_pos;
+          states_bytes_ -= sizeof(InEntry);
+        }
+      } else if (delta != 0) {
+        state->hist.insert(state->hist.begin() + state->pos++,
+                           InEntry{iter0, Unit{}, delta});
+        if (iter0 == 0) ++state->base_pos;
+        GrowStatesBytes(sizeof(InEntry));
+      }
+    } else {
+      for (const auto* u = nb; u != ne; ++u) {
+        state->hist.insert(state->hist.begin() + state->pos,
+                           InEntry{iter0, u->data.second, u->diff});
+        ++state->pos;
+        AccAdd(&state->acc, u->data.second, u->diff);
+        if (iter0 == 0) {
+          AccAdd(&state->base_acc, u->data.second, u->diff);
+          ++state->base_pos;
+        }
+      }
+      if (iter0 == 0) PurgeZeros(&state->base_acc);
+      GrowStatesBytes(static_cast<size_t>(ne - nb) * sizeof(InEntry));
+      size_t before = state->hist.size();
+      if (MaybeConsolidateHist(&state->hist, &state->pos, &state->hist_lwm,
+                               iter0)) {
+        state->base_pos = PrefixEnd(state->hist, 0u);
+      }
+      states_bytes_ -= (before - state->hist.size()) * sizeof(InEntry);
+    }
+  }
+
+  // Fills `desired` with fn's output for an accumulated input. An empty
+  // input — for an additive reduce, a zero total — desires nothing.
+  void Desire(const K& key, const Batch<V>& input, Batch<Out>* desired) {
+    if constexpr (kAdditive) {
+      Diff total = 0;
+      for (const Update<V>& u : input) total += u.diff;
+      Desire(key, total, desired);
+    } else if (!input.empty()) {
+      fn_(key, input, desired);
+      Consolidate(desired);
+    }
+  }
+  void Desire(const K& key, Diff total, Batch<Out>* desired) {
+    if (total == 0) return;
+    fn_(key, total, desired);
+    Consolidate(desired);
+  }
+
+  static size_t AccSize(const Batch<V>& acc) { return acc.size(); }
+  static size_t AccSize(Diff) { return 1; }
 
   // Evaluates `key` at exactly `time`; [nb, ne) is the key's slice of the
   // batch that arrived there, folded into the key's history here.
@@ -512,25 +628,7 @@ class ReduceOp : public OperatorBase {
       // Input changed at `time`: schedule the lub-closure over the entries
       // ahead of the cursor, then fold the new deltas into the prefix.
       ScheduleTailVisits(time, state.hist, state.pos, key);
-      for (const auto* u = nb; u != ne; ++u) {
-        state.hist.insert(
-            state.hist.begin() + state.pos,
-            IterEntry<V>{iter0, u->data.second, u->diff});
-        ++state.pos;
-        AccAdd(&state.acc, u->data.second, u->diff);
-        if (iter0 == 0) {
-          AccAdd(&state.base_acc, u->data.second, u->diff);
-          ++state.base_pos;
-        }
-      }
-      if (iter0 == 0) PurgeZeros(&state.base_acc);
-      GrowStatesBytes(static_cast<size_t>(ne - nb) * sizeof(IterEntry<V>));
-      size_t before = state.hist.size();
-      if (MaybeConsolidateHist(&state.hist, &state.pos, &state.hist_lwm,
-                               state.cur_iter)) {
-        state.base_pos = PrefixEnd(state.hist, 0u);
-      }
-      states_bytes_ -= (before - state.hist.size()) * sizeof(IterEntry<V>);
+      FoldInput(&state, nb, ne);
     }
 #if GRAPHSURGE_PARANOID
     // Cross-check the history against a walk of the shadow traces (skipped
@@ -538,11 +636,20 @@ class ReduceOp : public OperatorBase {
     if (fuzz::GlobalHooks().drop_insert_at == 0) {
       Batch<V> check;
       input_->Accumulate(key, time, &check);
-      Batch<V> mirror = state.acc;
-      Consolidate(&mirror);
-      GS_CHECK(SameBatch(check, mirror))
-          << "iteration-major input history diverged from trace at "
-          << time.ToString();
+      if constexpr (kAdditive) {
+        Diff check_total = 0;
+        for (const Update<V>& u : check) check_total += u.diff;
+        GS_CHECK(check_total == state.acc)
+            << "additive input total " << state.acc
+            << " diverged from trace total " << check_total << " at "
+            << time.ToString();
+      } else {
+        Batch<V> mirror = state.acc;
+        Consolidate(&mirror);
+        GS_CHECK(SameBatch(check, mirror))
+            << "iteration-major input history diverged from trace at "
+            << time.ToString();
+      }
       Batch<Out> out_check;
       output_trace_.Accumulate(key, time, &out_check);
       Batch<Out> out_mirror = state.out_acc;
@@ -554,18 +661,17 @@ class ReduceOp : public OperatorBase {
 #endif
     Batch<Out>& desired = scratch_desired_;
     desired.clear();
-    // The user function must see a genuinely empty batch when every count
-    // has cancelled — zombie zero-count entries would make sum-style
-    // aggregates emit a spurious zero record — so drop them eagerly here
-    // (PurgeZeros elsewhere is threshold-gated for cursor-move cost only).
-    state.acc.erase(
-        std::remove_if(state.acc.begin(), state.acc.end(),
-                       [](const Update<V>& u) { return u.diff == 0; }),
-        state.acc.end());
-    if (!state.acc.empty()) {
-      fn_(key, state.acc, &desired);
-      Consolidate(&desired);
+    if constexpr (!kAdditive) {
+      // The user function must see a genuinely empty batch when every count
+      // has cancelled — zombie zero-count entries would make sum-style
+      // aggregates emit a spurious zero record — so drop them eagerly here
+      // (PurgeZeros elsewhere is threshold-gated for cursor-move cost only).
+      state.acc.erase(
+          std::remove_if(state.acc.begin(), state.acc.end(),
+                         [](const Update<V>& u) { return u.diff == 0; }),
+          state.acc.end());
     }
+    Desire(key, state.acc, &desired);
 
     // delta = desired - current (both consolidated & sorted).
     const Batch<Out>& current = state.out_acc;
@@ -590,7 +696,7 @@ class ReduceOp : public OperatorBase {
     }
     if (delta.empty()) return;
     dataflow_->stats().AddShardWork(HashValue(key),
-                                    state.acc.size() + delta.size());
+                                    AccSize(state.acc) + delta.size());
     for (const Update<Out>& d : delta) {
       if (output_traced_ || kShadowTraces) {
         output_trace_.Insert(key, d.data, time, d.diff);
@@ -651,10 +757,7 @@ class ReduceOp : public OperatorBase {
 
     Batch<Out>& desired = scratch_desired_;
     desired.clear();
-    if (!in_u.empty()) {
-      fn_(key, in_u, &desired);
-      Consolidate(&desired);
-    }
+    Desire(key, in_u, &desired);
 
     Batch<Out>& current = scratch_current_;
     current.clear();
@@ -751,26 +854,24 @@ Stream<std::pair<K, V>> ReduceMax(Stream<std::pair<K, V>> in) {
   });
 }
 
-/// Per-key count of records (with multiplicity).
+/// Per-key count of records (with multiplicity), emitted while non-zero.
+/// An additive reduce over weight 1.
 template <typename K, typename V>
 Stream<std::pair<K, int64_t>> Count(Stream<std::pair<K, V>> in) {
   return Reduce<int64_t>(
-      in, [](const K&, const Batch<V>& input, Batch<int64_t>* output) {
-        Diff total = 0;
-        for (const Update<V>& u : input) total += u.diff;
-        if (total != 0) output->push_back(Update<int64_t>{total, 1});
+      Weigh(in, [](const V&) { return Diff{1}; }),
+      [](const K&, Diff total, Batch<int64_t>* output) {
+        output->push_back(Update<int64_t>{total, 1});
       });
 }
 
 /// Set-semantics projection: every record present with positive count
-/// appears exactly once.
+/// appears exactly once. An additive reduce over weight 1.
 template <typename D>
 Stream<D> Distinct(Stream<D> in) {
-  auto keyed = in.Map([](const D& d) { return std::make_pair(d, true); });
+  auto keyed = in.Map([](const D& d) { return std::make_pair(d, Unit{}); });
   auto reduced = Reduce<bool>(
-      keyed, [](const D&, const Batch<bool>& input, Batch<bool>* output) {
-        Diff total = 0;
-        for (const Update<bool>& u : input) total += u.diff;
+      keyed, [](const D&, Diff total, Batch<bool>* output) {
         if (total > 0) output->push_back(Update<bool>{true, 1});
       });
   return reduced.Map([](const std::pair<D, bool>& p) { return p.first; });

@@ -4,6 +4,7 @@
 #define GRAPHSURGE_DIFFERENTIAL_UPDATE_H_
 
 #include <algorithm>
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -11,6 +12,12 @@ namespace gs::differential {
 
 /// Signed multiplicity of a record change (negative = retraction).
 using Diff = int64_t;
+
+/// The value of a keyed record whose content is its key and its diff alone,
+/// as Weigh's output is (operators.h). All Units are equal.
+struct Unit {
+  auto operator<=>(const Unit&) const = default;
+};
 
 /// One record change.
 template <typename D>

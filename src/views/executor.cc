@@ -1,5 +1,6 @@
 #include "views/executor.h"
 
+#include <algorithm>
 #include <iomanip>
 #include <memory>
 #include <set>
@@ -280,8 +281,9 @@ StatusOr<ExecutionResult> RunOnCollection(
 
 std::string ArrangementCacheTag(const analytics::Computation& computation,
                                 const ExecutionOptions& options) {
-  return computation.cache_tag() + "/w" +
-         std::to_string(options.dataflow.num_workers) + "/c" +
+  // 0 workers runs one, so both share the /w1 tag.
+  const size_t workers = std::max<size_t>(1, options.dataflow.num_workers);
+  return computation.cache_tag() + "/w" + std::to_string(workers) + "/c" +
          std::to_string(options.weight_column);
 }
 

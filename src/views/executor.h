@@ -18,6 +18,15 @@
 
 namespace gs::views {
 
+/// Engine parameters whose worker count is 0, "system default":
+/// api::Graphsurge substitutes GraphsurgeOptions::num_workers, and a direct
+/// views:: run uses one worker.
+inline differential::DataflowOptions SystemDefaultDataflow() {
+  differential::DataflowOptions options;
+  options.num_workers = 0;
+  return options;
+}
+
 struct ExecutionOptions {
   splitting::Strategy strategy = splitting::Strategy::kDiffOnly;
   /// ℓ: adaptive decisions cover this many views at a time (paper §5).
@@ -28,8 +37,9 @@ struct ExecutionOptions {
   int weight_column = -1;
   /// Engine parameters; dataflow.num_workers > 1 runs every view of the
   /// collection on a sharded multi-worker engine (differential/sharded.h)
-  /// with results identical to serial execution.
-  differential::DataflowOptions dataflow;
+  /// with results identical to serial execution. Defaults to the system's
+  /// worker count (SystemDefaultDataflow).
+  differential::DataflowOptions dataflow = SystemDefaultDataflow();
   /// Keep each view's full result (tests and examples; memory-heavy).
   bool capture_results = false;
   /// Non-empty → RunOnGraph shares arrangements through the process-level

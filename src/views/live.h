@@ -50,8 +50,9 @@ struct LiveRunOptions {
   /// Edge property column used as edge weight; -1 → weight 1. Checked
   /// like ExecutionOptions::weight_column.
   int weight_column = -1;
-  /// Engine parameters (num_workers > 1 runs sharded).
-  differential::DataflowOptions dataflow;
+  /// Engine parameters (num_workers > 1 runs sharded; defaults to the
+  /// system's worker count, see SystemDefaultDataflow).
+  differential::DataflowOptions dataflow = SystemDefaultDataflow();
   /// Seal (fully compact) the engine's traces after every N-th epoch;
   /// epochs in between rely on the amortized per-version compaction alone.
   /// 0 never epoch-seals. A full-spine rewrite costs O(total state)

@@ -1,10 +1,13 @@
 // Focused operator-level coverage beyond the engine basics: fan-out,
-// multiplicity algebra, derived reductions, and incremental corrections.
+// multiplicity algebra, derived reductions (multiset and additive), and
+// incremental corrections.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <string>
 
+#include "common/random.h"
 #include "differential/differential.h"
 
 namespace gs::differential {
@@ -251,6 +254,232 @@ TEST(OperatorTest, IterateWithMultipleEnteredCollections) {
   auto m = ToMap(cap->AccumulatedAt(0));
   EXPECT_EQ(m.at({1, 11}), 1);  // 0 + 1 hop + bonus 10
   EXPECT_EQ(m.at({2, 12}), 1);
+}
+
+// --- Additive reduce ---------------------------------------------------------
+// Count, Distinct and PageRank's rank sum read only a key's weighted count,
+// so ReduceOp keeps one total per key and iteration for them. These tests
+// hold that path to the multiset rules it replaces.
+
+/// The multiset-path reduce computing Count's rule: the key's net count,
+/// emitted while non-zero.
+Stream<IntPair> MultisetCount(Stream<IntPair> in) {
+  return Reduce<int64_t>(
+      in, [](const int64_t&, const Batch<int64_t>& input, Batch<int64_t>* out) {
+        Diff total = 0;
+        for (const Update<int64_t>& u : input) total += u.diff;
+        if (total != 0) out->push_back(Update<int64_t>{total, 1});
+      });
+}
+
+TEST(AdditiveReduceTest, NetCountGoesNegativeAndRecovers) {
+  Dataflow df;
+  Input<IntPair> in(&df);
+  auto* additive = Capture(Count(in.stream()));
+  auto* multiset = Capture(MultisetCount(in.stream()));
+  in.Send({1, 10}, 1);
+  ASSERT_TRUE(df.Step().ok());
+  in.Send({1, 10}, -3);  // net count -2: still a non-zero total
+  ASSERT_TRUE(df.Step().ok());
+  in.Send({1, 20}, 5);  // recovers to 3
+  ASSERT_TRUE(df.Step().ok());
+  const std::map<IntPair, Diff> expected[] = {
+      {{{1, 1}, 1}}, {{{1, -2}, 1}}, {{{1, 3}, 1}}};
+  for (uint32_t v = 0; v < 3; ++v) {
+    EXPECT_EQ(ToMap(additive->AccumulatedAt(v)), expected[v]) << "v" << v;
+    EXPECT_EQ(ToMap(multiset->AccumulatedAt(v)), expected[v]) << "v" << v;
+  }
+}
+
+TEST(AdditiveReduceTest, TotalReturningToZeroRetractsOutput) {
+  Dataflow df;
+  Input<IntPair> in(&df);
+  auto* sums = Capture(Reduce<int64_t>(
+      Weigh(in.stream(), [](const int64_t& w) { return w; }),
+      [](const int64_t&, Diff total, Batch<int64_t>* out) {
+        out->push_back(Update<int64_t>{total, 1});
+      }));
+  in.Send({1, 3}, 1);
+  ASSERT_TRUE(df.Step().ok());
+  EXPECT_EQ(ToMap(sums->AccumulatedAt(0)),
+            (std::map<IntPair, Diff>{{{1, 3}, 1}}));
+  // Different records whose weights cancel: total 0 emits nothing, so the
+  // previous output is retracted.
+  in.Send({1, 3}, -1);
+  in.Send({1, 1}, 3);
+  in.Send({1, -3}, 1);
+  ASSERT_TRUE(df.Step().ok());
+  EXPECT_EQ(ToMap(sums->VersionDiffs(1)),
+            (std::map<IntPair, Diff>{{{1, 3}, -1}}));
+  EXPECT_TRUE(ToMap(sums->AccumulatedAt(1)).empty());
+  in.Send({1, 1}, 1);
+  ASSERT_TRUE(df.Step().ok());
+  EXPECT_EQ(ToMap(sums->AccumulatedAt(2)),
+            (std::map<IntPair, Diff>{{{1, 1}, 1}}));
+}
+
+TEST(AdditiveReduceTest, DistinctOfRecordInsertedTwiceRetractedOnce) {
+  Dataflow df;
+  Input<int64_t> in(&df);
+  auto* cap = Capture(Distinct(in.stream()));
+  in.Send(7, 1);
+  in.Send(7, 1);
+  ASSERT_TRUE(df.Step().ok());
+  EXPECT_EQ(ToMap(cap->AccumulatedAt(0)), (std::map<int64_t, Diff>{{7, 1}}));
+  in.Send(7, -1);  // one copy left: still present, nothing emitted
+  ASSERT_TRUE(df.Step().ok());
+  EXPECT_TRUE(cap->VersionDiffs(1).empty());
+  EXPECT_EQ(ToMap(cap->AccumulatedAt(1)), (std::map<int64_t, Diff>{{7, 1}}));
+  in.Send(7, -1);
+  ASSERT_TRUE(df.Step().ok());
+  EXPECT_TRUE(ToMap(cap->AccumulatedAt(2)).empty());
+}
+
+// Count inside loops: at depth 1 it keeps the per-key history (KeyState),
+// at depth 2 it takes the shared trace path (EvaluateDeepKeyAt). Each
+// iteration re-counts the previous one's pairs and moves them to the next
+// key, so the counts change from iteration to iteration; both loops are
+// capped. The additive Count must agree with the multiset reduce over
+// several versions of random inserts and retractions.
+TEST(AdditiveReduceTest, CountInNestedIterateMatchesMultisetReduce) {
+  struct Program {
+    explicit Program(bool additive) : in(&df) {
+      auto count = [additive](Stream<IntPair> pairs) {
+        return (additive ? Count(pairs) : MultisetCount(pairs))
+            .Map([](const IntPair& kc) {
+              return IntPair{(kc.first + 1) % 6, kc.second % 5};
+            });
+      };
+      IterateOptions outer_options;
+      outer_options.max_iterations = 3;
+      IterateOptions inner_options;
+      inner_options.max_iterations = 4;
+      auto result = Iterate<IntPair>(
+          in.stream(),
+          [&](LoopScope& outer, Stream<IntPair> o) {
+            auto tallied = count(o.Concat(outer.Enter(in.stream())));
+            return Iterate<IntPair>(
+                tallied,
+                [&](LoopScope& inner, Stream<IntPair> x) {
+                  return count(x.Concat(inner.Enter(tallied)));
+                },
+                inner_options);
+          },
+          outer_options);
+      capture = Capture(result);
+    }
+    Dataflow df;
+    Input<IntPair> in;
+    CaptureOp<IntPair>* capture = nullptr;
+  };
+  Program additive(true);
+  Program multiset(false);
+  Rng rng(29);
+  std::map<IntPair, Diff> present;
+  for (uint32_t version = 0; version < 5; ++version) {
+    for (auto& [pair, count] : present) {
+      if (count > 0 && rng.Bernoulli(0.3)) {
+        additive.in.Send(pair, -1);
+        multiset.in.Send(pair, -1);
+        --count;
+      }
+    }
+    for (int i = 0; i < 8; ++i) {
+      IntPair pair{rng.Uniform(0, 5), rng.Uniform(0, 3)};
+      additive.in.Send(pair, 1);
+      multiset.in.Send(pair, 1);
+      ++present[pair];
+    }
+    ASSERT_TRUE(additive.df.Step().ok());
+    ASSERT_TRUE(multiset.df.Step().ok());
+    EXPECT_EQ(ToMap(additive.capture->AccumulatedAt(version)),
+              ToMap(multiset.capture->AccumulatedAt(version)))
+        << "version " << version;
+    EXPECT_FALSE(additive.capture->AccumulatedAt(version).empty());
+  }
+}
+
+// Inside a loop, a key's iteration-0 total cancels in a later version while
+// its iteration-2 entry remains: the history drops the cancelled entry
+// without losing its cursor, so the iteration-2 evaluation still sees the
+// entry it must retract. The loop moves a token (k, 0) → (k, 1) → (k, 2);
+// Count sees stages 0 and 2 only, so its input changes at iterations 0
+// and 2, and its count rides along in the loop variable as (k, 100 + n).
+TEST(AdditiveReduceTest, CancelledIterationKeepsLaterEntries) {
+  Dataflow df;
+  Input<IntPair> init(&df);
+  auto result = Iterate<IntPair>(
+      init.stream(), [&](LoopScope& scope, Stream<IntPair> x) {
+        auto advanced = x.Filter([](const IntPair& p) { return p.second < 2; })
+                            .Map([](const IntPair& p) {
+                              return IntPair{p.first, p.second + 1};
+                            });
+        auto counts = Count(x.Filter([](const IntPair& p) {
+                               return p.second == 0 || p.second == 2;
+                             })).Map([](const IntPair& kc) {
+          return IntPair{kc.first, 100 + kc.second};
+        });
+        return scope.Enter(init.stream()).Concat(advanced).Concat(counts);
+      });
+  auto* cap = Capture(result);
+  init.Send({1, 0}, 1);
+  ASSERT_TRUE(df.Step().ok());
+  EXPECT_EQ(ToMap(cap->AccumulatedAt(0)),
+            (std::map<IntPair, Diff>{
+                {{1, 0}, 1}, {{1, 1}, 1}, {{1, 2}, 1}, {{1, 102}, 1}}));
+  init.Send({1, 0}, -1);
+  ASSERT_TRUE(df.Step().ok());
+  EXPECT_TRUE(ToMap(cap->AccumulatedAt(1)).empty());
+  init.Send({1, 0}, 1);
+  ASSERT_TRUE(df.Step().ok());
+  EXPECT_EQ(ToMap(cap->AccumulatedAt(2)), ToMap(cap->AccumulatedAt(0)));
+}
+
+// The weight step pre-aggregates: a hundred weighted records for one key —
+// PageRank's shape for a vertex with 100 in-edges — reach the reduce as a
+// single update per (key, time). Without the weight step the reduce gets
+// all hundred.
+TEST(AdditiveReduceTest, WeightStepDeliversOneUpdatePerKeyAndTime) {
+  Dataflow df;
+  Input<IntPair> in(&df);
+  size_t weighted_updates = 0;
+  size_t raw_updates = 0;
+  auto weighted = Weigh(in.stream(), [](const int64_t& w) { return w; })
+                      .InspectBatches([&](const Time&, const auto& batch) {
+                        weighted_updates += batch.size();
+                      });
+  auto* additive = Capture(Reduce<int64_t>(
+      weighted, [](const int64_t&, Diff total, Batch<int64_t>* out) {
+        out->push_back(Update<int64_t>{total, 1});
+      }));
+  auto raw = in.stream().InspectBatches(
+      [&](const Time&, const auto& batch) { raw_updates += batch.size(); });
+  auto* multiset = Capture(Reduce<int64_t>(
+      raw,
+      [](const int64_t&, const Batch<int64_t>& input, Batch<int64_t>* out) {
+        int64_t total = 0;
+        for (const auto& u : input) total += u.data * u.diff;
+        out->push_back(Update<int64_t>{total, 1});
+      }));
+  for (int64_t share = 1; share <= 100; ++share) in.Send({0, share}, 1);
+  ASSERT_TRUE(df.Step().ok());
+  EXPECT_EQ(weighted_updates, 1u);
+  EXPECT_EQ(raw_updates, 100u);
+  const std::map<IntPair, Diff> expected{{{0, 5050}, 1}};
+  EXPECT_EQ(ToMap(additive->AccumulatedAt(0)), expected);
+  EXPECT_EQ(ToMap(multiset->AccumulatedAt(0)), expected);
+}
+
+TEST(AdditiveReduceDeathTest, WeightTimesDiffOverflowFails) {
+  EXPECT_DEATH(
+      {
+        Dataflow df;
+        Input<IntPair> in(&df);
+        Capture(Weigh(in.stream(), [](const int64_t& w) { return w; }));
+        in.Send({1, std::numeric_limits<int64_t>::max()}, 2);
+        (void)df.Step();
+      },
+      "weight × diff overflows");
 }
 
 }  // namespace

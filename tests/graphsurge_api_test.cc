@@ -9,6 +9,7 @@
 
 #include "algorithms/algorithms.h"
 #include "algorithms/reference.h"
+#include "differential/arrcache.h"
 #include "graph/generators.h"
 
 namespace gs {
@@ -139,6 +140,34 @@ TEST_F(GraphsurgeApiTest, RunOnViewSingleGraph) {
   auto result = system_.RunOnView(wcc, "Calls");
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->empty());
+}
+
+// Default ExecutionOptions leave the worker count to the system: a
+// four-worker system runs a collection on four worker shards, and a
+// single-graph run files its cached arrangements under the /w4 tag.
+TEST(GraphsurgeWorkersTest, DefaultExecutionOptionsUseTheSystemWorkerCount) {
+  GraphsurgeOptions options;
+  options.num_workers = 4;
+  Graphsurge system(options);
+  ASSERT_TRUE(system.AddGraph("Calls", MakeCallGraphExample()).ok());
+  ASSERT_TRUE(system
+                  .Execute("create view collection durations on Calls "
+                           "[d5: duration <= 5], [d34: duration <= 34]")
+                  .ok());
+  analytics::Wcc wcc;
+  auto result = system.RunComputation(wcc, "durations");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->per_worker_events.size(), 4u);
+
+  ASSERT_TRUE(system.RunOnView(wcc, "Calls").ok());
+  const std::string scope = system.ArrangementCacheScope("Calls");
+  views::ExecutionOptions four;
+  four.dataflow.num_workers = 4;
+  auto& cache = differential::ArrangementCache::Global();
+  EXPECT_TRUE(
+      cache.Stats(scope, views::ArrangementCacheTag(wcc, four)).has_value());
+  EXPECT_FALSE(
+      cache.Stats(scope, views::ArrangementCacheTag(wcc, {})).has_value());
 }
 
 TEST_F(GraphsurgeApiTest, Errors) {

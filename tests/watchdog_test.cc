@@ -77,6 +77,23 @@ bool Contains(const std::vector<std::string>& rules, const std::string& rule) {
   return false;
 }
 
+/// Starts `dog` and waits for the evaluation its thread runs as soon as it
+/// starts. The rule tests drive evaluations by hand with a long cadence; an
+/// evaluation landing between a gauge move and the test's own EvaluateNow
+/// would shift the rule state under it (a flat ingest lag resets the growth
+/// streak, a consumed fsync window hides the spike).
+void StartAndAwaitFirstEvaluation(watchdog::Watchdog* dog,
+                                  const watchdog::WatchdogOptions& options) {
+  metrics::Counter* evaluations =
+      metrics::Registry::Global().GetCounter("gs_watchdog_evaluations");
+  const uint64_t before = evaluations->Value();
+  ASSERT_TRUE(dog->Start(options).ok());
+  for (int i = 0; i < 10000 && evaluations->Value() == before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(evaluations->Value(), before) << "watchdog thread never evaluated";
+}
+
 /// Asserts the invariants of one flight-recorder document: the reason names
 /// the firing rule, the violated-rule list carries it, and the trace /
 /// metrics / time-series sections are all present and well-formed.
@@ -181,7 +198,7 @@ TEST(WatchdogRuleTest, EpochAdvanceDeadlineFiresAndDumps) {
   options.cadence_ms = 3600 * 1000;  // thread idles; EvaluateNow drives
   options.epoch_advance_deadline_ms = 40;
   options.flight_dir = ::testing::TempDir();
-  ASSERT_TRUE(dog.Start(options).ok());
+  ASSERT_NO_FATAL_FAILURE(StartAndAwaitFirstEvaluation(&dog, options));
   EXPECT_FALSE(dog.Start(options).ok());  // double start rejected
 
   metrics::Gauge* started = metrics::Registry::Global().GetGauge(
@@ -227,7 +244,7 @@ TEST(WatchdogRuleTest, WalFsyncLatencySpikeOverDeltaWindow) {
   options.cadence_ms = 3600 * 1000;
   options.wal_fsync_p99_ns = 1000;     // any real fsync exceeds this
   options.write_flight_dumps = false;  // master switch: no file
-  ASSERT_TRUE(dog.Start(options).ok());
+  ASSERT_NO_FATAL_FAILURE(StartAndAwaitFirstEvaluation(&dog, options));
 
   // No fsyncs since the baseline sync: quiet.
   EXPECT_TRUE(dog.EvaluateNow().empty());
@@ -255,7 +272,8 @@ TEST(WatchdogRuleTest, IngestLagMonotoneGrowthFires) {
   options.ingest_lag_min = 2;
   options.ingest_lag_increases = 3;
   options.write_flight_dumps = false;
-  ASSERT_TRUE(dog.Start(options).ok());  // baseline: lag already 1000-ish
+  // Baseline: lag already 1000-ish.
+  ASSERT_NO_FATAL_FAILURE(StartAndAwaitFirstEvaluation(&dog, options));
 
   metrics::Counter* rule_firings = metrics::Registry::Global().GetCounter(
       "gs_watchdog_rule_firings", {{"rule", "ingest_lag"}});
