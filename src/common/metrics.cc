@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/simd.h"
 
 namespace gs::metrics {
 
@@ -287,7 +286,6 @@ const Registry::Labels& BuildInfoLabels() {
 #else
     (*l)["compiler"] = "unknown";
 #endif
-    (*l)["simd"] = simd::DispatchStateName();
     return l;
   }();
   return *labels;

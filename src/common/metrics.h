@@ -210,9 +210,9 @@ double QuantileFromBuckets(
 /// p95/p99 rendering used by the health plane's SLO surfaces.
 double HistogramQuantile(const Histogram& histogram, double q);
 
-/// Labels identifying this build — git_sha (configure-time), compiler, and
-/// simd dispatch state (avx2/scalar/killed) — attached to the gs_build_info
-/// gauge that Registry::Global() registers with value 1.
+/// Labels identifying this build — git_sha (configure-time) and compiler —
+/// attached to the gs_build_info gauge that Registry::Global() registers
+/// with value 1.
 const Registry::Labels& BuildInfoLabels();
 
 }  // namespace gs::metrics

@@ -1,15 +1,5 @@
 #include "common/simd.h"
 
-#include <cstdlib>
-#include <cstring>
-
-#if defined(__x86_64__) && !defined(GRAPHSURGE_NO_SIMD)
-#define GS_SIMD_HAVE_AVX2_BUILD 1
-#include <immintrin.h>
-#else
-#define GS_SIMD_HAVE_AVX2_BUILD 0
-#endif
-
 namespace gs::simd {
 
 uint64_t StringPrefix(const std::string& s) {
@@ -24,36 +14,9 @@ uint64_t StringPrefix(const std::string& s) {
   return p;
 }
 
-bool Avx2Active() {
-#if GS_SIMD_HAVE_AVX2_BUILD
-  static const bool active = [] {
-    if (!__builtin_cpu_supports("avx2")) return false;
-    const char* env = std::getenv("GRAPHSURGE_NO_SIMD");
-    if (env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0) {
-      return false;
-    }
-    return true;
-  }();
-  return active;
-#else
-  return false;
-#endif
-}
-
-const char* DispatchStateName() {
-#if GS_SIMD_HAVE_AVX2_BUILD
-  return Avx2Active() ? "avx2" : "scalar";
-#else
-  return "killed";
-#endif
-}
-
 // ---------------------------------------------------------------------------
-// Scalar reference kernels. The three-way-then-apply structure is the
-// semantic contract (NaN doubles take the "equal" branch, exactly like
-// PropertyValue::Compare); the AVX2 kernels reproduce it lane-wise.
-
-namespace scalar {
+// Kernels. The three-way-then-apply structure is the semantic contract (NaN
+// doubles take the "equal" branch, exactly like PropertyValue::Compare).
 
 namespace {
 
@@ -131,344 +94,6 @@ void BytesNonZero(const uint8_t* v, size_t n, uint64_t* out) {
     }
     out[w] = m;
   }
-}
-
-}  // namespace scalar
-
-// ---------------------------------------------------------------------------
-// AVX2 kernels. Full 64-row words are vectorized (16 × 4 lanes for 64-bit
-// element types, 2 × 32 lanes for bytes); the ragged tail word falls back to
-// the scalar kernel, which also guarantees trailing bits stay zero.
-
-#if GS_SIMD_HAVE_AVX2_BUILD
-
-namespace avx2 {
-
-namespace {
-
-// Derives the 4-lane result bits for `op` from lane masks lt/gt (each lane
-// all-ones or all-zero). `lanes` = movemask bits. The ~ cases mask to the
-// low 4 bits.
-template <Cmp OP>
-inline uint32_t BitsFrom(uint32_t lt, uint32_t gt) {
-  if constexpr (OP == Cmp::kEq) return ~(lt | gt) & 0xF;
-  if constexpr (OP == Cmp::kNe) return (lt | gt) & 0xF;
-  if constexpr (OP == Cmp::kLt) return lt;
-  if constexpr (OP == Cmp::kLe) return ~gt & 0xF;
-  if constexpr (OP == Cmp::kGt) return gt;
-  if constexpr (OP == Cmp::kGe) return ~lt & 0xF;
-  return 0;
-}
-
-template <Cmp OP>
-__attribute__((target("avx2"))) void CmpF64ConstWords(const double* v,
-                                                      size_t full_words,
-                                                      double c,
-                                                      uint64_t* out) {
-  const __m256d cv = _mm256_set1_pd(c);
-  for (size_t w = 0; w < full_words; ++w) {
-    uint64_t m = 0;
-    for (size_t g = 0; g < 16; ++g) {
-      __m256d x = _mm256_loadu_pd(v + 64 * w + 4 * g);
-      // Ordered-quiet predicates: NaN lanes report neither lt nor gt, which
-      // lands them in the "equal" branch of the three-way contract.
-      uint32_t lt = static_cast<uint32_t>(
-          _mm256_movemask_pd(_mm256_cmp_pd(x, cv, _CMP_LT_OQ)));
-      uint32_t gt = static_cast<uint32_t>(
-          _mm256_movemask_pd(_mm256_cmp_pd(x, cv, _CMP_GT_OQ)));
-      m |= static_cast<uint64_t>(BitsFrom<OP>(lt, gt)) << (4 * g);
-    }
-    out[w] = m;
-  }
-}
-
-template <Cmp OP>
-__attribute__((target("avx2"))) void CmpF64PairsWords(const double* a,
-                                                       const double* b,
-                                                       size_t full_words,
-                                                       uint64_t* out) {
-  for (size_t w = 0; w < full_words; ++w) {
-    uint64_t m = 0;
-    for (size_t g = 0; g < 16; ++g) {
-      __m256d x = _mm256_loadu_pd(a + 64 * w + 4 * g);
-      __m256d y = _mm256_loadu_pd(b + 64 * w + 4 * g);
-      uint32_t lt = static_cast<uint32_t>(
-          _mm256_movemask_pd(_mm256_cmp_pd(x, y, _CMP_LT_OQ)));
-      uint32_t gt = static_cast<uint32_t>(
-          _mm256_movemask_pd(_mm256_cmp_pd(x, y, _CMP_GT_OQ)));
-      m |= static_cast<uint64_t>(BitsFrom<OP>(lt, gt)) << (4 * g);
-    }
-    out[w] = m;
-  }
-}
-
-// Signed 64-bit lane masks; unsigned compares bias the sign bit first
-// (x ^ 2^63 maps unsigned order onto signed order).
-template <Cmp OP, bool KUnsigned>
-__attribute__((target("avx2"))) void CmpI64ConstWords(const int64_t* v,
-                                                       size_t full_words,
-                                                       int64_t c,
-                                                       uint64_t* out) {
-  const __m256i bias = _mm256_set1_epi64x(
-      static_cast<int64_t>(uint64_t{1} << 63));
-  __m256i cv = _mm256_set1_epi64x(c);
-  if (KUnsigned) cv = _mm256_xor_si256(cv, bias);
-  for (size_t w = 0; w < full_words; ++w) {
-    uint64_t m = 0;
-    for (size_t g = 0; g < 16; ++g) {
-      __m256i x = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(v + 64 * w + 4 * g));
-      if (KUnsigned) x = _mm256_xor_si256(x, bias);
-      uint32_t lt = static_cast<uint32_t>(_mm256_movemask_pd(
-          _mm256_castsi256_pd(_mm256_cmpgt_epi64(cv, x))));
-      uint32_t gt = static_cast<uint32_t>(_mm256_movemask_pd(
-          _mm256_castsi256_pd(_mm256_cmpgt_epi64(x, cv))));
-      m |= static_cast<uint64_t>(BitsFrom<OP>(lt, gt)) << (4 * g);
-    }
-    out[w] = m;
-  }
-}
-
-template <Cmp OP, bool KUnsigned>
-__attribute__((target("avx2"))) void CmpI64PairsWords(const int64_t* a,
-                                                       const int64_t* b,
-                                                       size_t full_words,
-                                                       uint64_t* out) {
-  const __m256i bias = _mm256_set1_epi64x(
-      static_cast<int64_t>(uint64_t{1} << 63));
-  for (size_t w = 0; w < full_words; ++w) {
-    uint64_t m = 0;
-    for (size_t g = 0; g < 16; ++g) {
-      __m256i x = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(a + 64 * w + 4 * g));
-      __m256i y = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(b + 64 * w + 4 * g));
-      if (KUnsigned) {
-        x = _mm256_xor_si256(x, bias);
-        y = _mm256_xor_si256(y, bias);
-      }
-      uint32_t lt = static_cast<uint32_t>(_mm256_movemask_pd(
-          _mm256_castsi256_pd(_mm256_cmpgt_epi64(y, x))));
-      uint32_t gt = static_cast<uint32_t>(_mm256_movemask_pd(
-          _mm256_castsi256_pd(_mm256_cmpgt_epi64(x, y))));
-      m |= static_cast<uint64_t>(BitsFrom<OP>(lt, gt)) << (4 * g);
-    }
-    out[w] = m;
-  }
-}
-
-__attribute__((target("avx2"))) void BytesNonZeroWords(const uint8_t* v,
-                                                        size_t full_words,
-                                                        uint64_t* out) {
-  const __m256i zero = _mm256_setzero_si256();
-  for (size_t w = 0; w < full_words; ++w) {
-    __m256i lo = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(v + 64 * w));
-    __m256i hi = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(v + 64 * w + 32));
-    uint32_t zlo = static_cast<uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(lo, zero)));
-    uint32_t zhi = static_cast<uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(hi, zero)));
-    out[w] = ~(static_cast<uint64_t>(zhi) << 32 | zlo);
-  }
-}
-
-// Op dispatch: one switch per call, template bodies per op.
-template <template <Cmp> class Fn>
-struct OpTable;
-
-}  // namespace
-
-}  // namespace avx2
-
-#endif  // GS_SIMD_HAVE_AVX2_BUILD
-
-// ---------------------------------------------------------------------------
-// Dispatchers.
-
-namespace {
-
-// Splits `n` rows into SIMD full words plus a scalar tail. `simd_fn` is
-// invoked with the number of full 64-row words; `tail_fn` handles the rest
-// through the scalar reference kernel.
-template <typename SimdFn, typename TailFn>
-inline void SplitDispatch(size_t n, SimdFn&& simd_fn, TailFn&& tail_fn) {
-  size_t full_words = n / 64;
-  if (full_words > 0) simd_fn(full_words);
-  if (n % 64 != 0) tail_fn(full_words);
-}
-
-}  // namespace
-
-void CmpF64Const(const double* v, size_t n, Cmp op, double c, uint64_t* out) {
-#if GS_SIMD_HAVE_AVX2_BUILD
-  if (Avx2Active()) {
-    SplitDispatch(
-        n,
-        [&](size_t fw) {
-          switch (op) {
-            case Cmp::kEq: avx2::CmpF64ConstWords<Cmp::kEq>(v, fw, c, out); break;
-            case Cmp::kNe: avx2::CmpF64ConstWords<Cmp::kNe>(v, fw, c, out); break;
-            case Cmp::kLt: avx2::CmpF64ConstWords<Cmp::kLt>(v, fw, c, out); break;
-            case Cmp::kLe: avx2::CmpF64ConstWords<Cmp::kLe>(v, fw, c, out); break;
-            case Cmp::kGt: avx2::CmpF64ConstWords<Cmp::kGt>(v, fw, c, out); break;
-            case Cmp::kGe: avx2::CmpF64ConstWords<Cmp::kGe>(v, fw, c, out); break;
-          }
-        },
-        [&](size_t fw) {
-          scalar::CmpF64Const(v + 64 * fw, n - 64 * fw, op, c, out + fw);
-        });
-    return;
-  }
-#endif
-  scalar::CmpF64Const(v, n, op, c, out);
-}
-
-void CmpF64Pairs(const double* a, const double* b, size_t n, Cmp op,
-                 uint64_t* out) {
-#if GS_SIMD_HAVE_AVX2_BUILD
-  if (Avx2Active()) {
-    SplitDispatch(
-        n,
-        [&](size_t fw) {
-          switch (op) {
-            case Cmp::kEq: avx2::CmpF64PairsWords<Cmp::kEq>(a, b, fw, out); break;
-            case Cmp::kNe: avx2::CmpF64PairsWords<Cmp::kNe>(a, b, fw, out); break;
-            case Cmp::kLt: avx2::CmpF64PairsWords<Cmp::kLt>(a, b, fw, out); break;
-            case Cmp::kLe: avx2::CmpF64PairsWords<Cmp::kLe>(a, b, fw, out); break;
-            case Cmp::kGt: avx2::CmpF64PairsWords<Cmp::kGt>(a, b, fw, out); break;
-            case Cmp::kGe: avx2::CmpF64PairsWords<Cmp::kGe>(a, b, fw, out); break;
-          }
-        },
-        [&](size_t fw) {
-          scalar::CmpF64Pairs(a + 64 * fw, b + 64 * fw, n - 64 * fw, op,
-                              out + fw);
-        });
-    return;
-  }
-#endif
-  scalar::CmpF64Pairs(a, b, n, op, out);
-}
-
-void CmpI64Const(const int64_t* v, size_t n, Cmp op, int64_t c,
-                 uint64_t* out) {
-#if GS_SIMD_HAVE_AVX2_BUILD
-  if (Avx2Active()) {
-    SplitDispatch(
-        n,
-        [&](size_t fw) {
-          switch (op) {
-            case Cmp::kEq: avx2::CmpI64ConstWords<Cmp::kEq, false>(v, fw, c, out); break;
-            case Cmp::kNe: avx2::CmpI64ConstWords<Cmp::kNe, false>(v, fw, c, out); break;
-            case Cmp::kLt: avx2::CmpI64ConstWords<Cmp::kLt, false>(v, fw, c, out); break;
-            case Cmp::kLe: avx2::CmpI64ConstWords<Cmp::kLe, false>(v, fw, c, out); break;
-            case Cmp::kGt: avx2::CmpI64ConstWords<Cmp::kGt, false>(v, fw, c, out); break;
-            case Cmp::kGe: avx2::CmpI64ConstWords<Cmp::kGe, false>(v, fw, c, out); break;
-          }
-        },
-        [&](size_t fw) {
-          scalar::CmpI64Const(v + 64 * fw, n - 64 * fw, op, c, out + fw);
-        });
-    return;
-  }
-#endif
-  scalar::CmpI64Const(v, n, op, c, out);
-}
-
-void CmpI64Pairs(const int64_t* a, const int64_t* b, size_t n, Cmp op,
-                 uint64_t* out) {
-#if GS_SIMD_HAVE_AVX2_BUILD
-  if (Avx2Active()) {
-    SplitDispatch(
-        n,
-        [&](size_t fw) {
-          switch (op) {
-            case Cmp::kEq: avx2::CmpI64PairsWords<Cmp::kEq, false>(a, b, fw, out); break;
-            case Cmp::kNe: avx2::CmpI64PairsWords<Cmp::kNe, false>(a, b, fw, out); break;
-            case Cmp::kLt: avx2::CmpI64PairsWords<Cmp::kLt, false>(a, b, fw, out); break;
-            case Cmp::kLe: avx2::CmpI64PairsWords<Cmp::kLe, false>(a, b, fw, out); break;
-            case Cmp::kGt: avx2::CmpI64PairsWords<Cmp::kGt, false>(a, b, fw, out); break;
-            case Cmp::kGe: avx2::CmpI64PairsWords<Cmp::kGe, false>(a, b, fw, out); break;
-          }
-        },
-        [&](size_t fw) {
-          scalar::CmpI64Pairs(a + 64 * fw, b + 64 * fw, n - 64 * fw, op,
-                              out + fw);
-        });
-    return;
-  }
-#endif
-  scalar::CmpI64Pairs(a, b, n, op, out);
-}
-
-void CmpU64Const(const uint64_t* v, size_t n, Cmp op, uint64_t c,
-                 uint64_t* out) {
-#if GS_SIMD_HAVE_AVX2_BUILD
-  if (Avx2Active()) {
-    const int64_t* vi = reinterpret_cast<const int64_t*>(v);
-    int64_t ci = static_cast<int64_t>(c);
-    SplitDispatch(
-        n,
-        [&](size_t fw) {
-          switch (op) {
-            case Cmp::kEq: avx2::CmpI64ConstWords<Cmp::kEq, true>(vi, fw, ci, out); break;
-            case Cmp::kNe: avx2::CmpI64ConstWords<Cmp::kNe, true>(vi, fw, ci, out); break;
-            case Cmp::kLt: avx2::CmpI64ConstWords<Cmp::kLt, true>(vi, fw, ci, out); break;
-            case Cmp::kLe: avx2::CmpI64ConstWords<Cmp::kLe, true>(vi, fw, ci, out); break;
-            case Cmp::kGt: avx2::CmpI64ConstWords<Cmp::kGt, true>(vi, fw, ci, out); break;
-            case Cmp::kGe: avx2::CmpI64ConstWords<Cmp::kGe, true>(vi, fw, ci, out); break;
-          }
-        },
-        [&](size_t fw) {
-          scalar::CmpU64Const(v + 64 * fw, n - 64 * fw, op, c, out + fw);
-        });
-    return;
-  }
-#endif
-  scalar::CmpU64Const(v, n, op, c, out);
-}
-
-void CmpU64Pairs(const uint64_t* a, const uint64_t* b, size_t n, Cmp op,
-                 uint64_t* out) {
-#if GS_SIMD_HAVE_AVX2_BUILD
-  if (Avx2Active()) {
-    const int64_t* ai = reinterpret_cast<const int64_t*>(a);
-    const int64_t* bi = reinterpret_cast<const int64_t*>(b);
-    SplitDispatch(
-        n,
-        [&](size_t fw) {
-          switch (op) {
-            case Cmp::kEq: avx2::CmpI64PairsWords<Cmp::kEq, true>(ai, bi, fw, out); break;
-            case Cmp::kNe: avx2::CmpI64PairsWords<Cmp::kNe, true>(ai, bi, fw, out); break;
-            case Cmp::kLt: avx2::CmpI64PairsWords<Cmp::kLt, true>(ai, bi, fw, out); break;
-            case Cmp::kLe: avx2::CmpI64PairsWords<Cmp::kLe, true>(ai, bi, fw, out); break;
-            case Cmp::kGt: avx2::CmpI64PairsWords<Cmp::kGt, true>(ai, bi, fw, out); break;
-            case Cmp::kGe: avx2::CmpI64PairsWords<Cmp::kGe, true>(ai, bi, fw, out); break;
-          }
-        },
-        [&](size_t fw) {
-          scalar::CmpU64Pairs(a + 64 * fw, b + 64 * fw, n - 64 * fw, op,
-                              out + fw);
-        });
-    return;
-  }
-#endif
-  scalar::CmpU64Pairs(a, b, n, op, out);
-}
-
-void BytesNonZero(const uint8_t* v, size_t n, uint64_t* out) {
-#if GS_SIMD_HAVE_AVX2_BUILD
-  if (Avx2Active()) {
-    SplitDispatch(
-        n, [&](size_t fw) { avx2::BytesNonZeroWords(v, fw, out); },
-        [&](size_t fw) {
-          scalar::BytesNonZero(v + 64 * fw, n - 64 * fw, out + fw);
-        });
-    return;
-  }
-#endif
-  scalar::BytesNonZero(v, n, out);
 }
 
 }  // namespace gs::simd

@@ -1,18 +1,10 @@
-// Vectorized compare kernels for the batch data plane: each kernel
+// Word-at-a-time compare kernels for the batch data plane: each kernel
 // evaluates a comparison over `n` contiguous rows and writes one selection
 // bit per row into an array of 64-bit mask words (bit j of out[w] is row
-// 64w + j; trailing bits of the last word are zero).
-//
-// Two implementations exist for every kernel:
-//   scalar:: — portable, compiled unconditionally, and the semantic
-//              reference (the cross-check target for tests and the fuzz
-//              oracle).
-//   AVX2     — runtime-dispatched (function `target` attributes, no global
-//              -mavx2) and bit-identical to scalar:: by construction.
-// Dispatch picks AVX2 only when (a) the build did not set
-// GRAPHSURGE_NO_SIMD, (b) the CPU reports AVX2, and (c) the environment
-// variable GRAPHSURGE_NO_SIMD is unset/0 — (c) lets one binary exercise
-// both paths, which the equivalence tests use.
+// 64w + j; trailing bits of the last word are zero). The kernels are
+// portable loops; the speed of the batch path comes from evaluating a
+// whole mask program per 64-row word (gvdl/batch_eval.h), not from
+// hand-written vector code.
 //
 // Comparison semantics match PropertyValue::Compare exactly:
 //   - doubles use the ordered three-way (a<b, a>b, else "equal") rule, so
@@ -57,16 +49,6 @@ inline bool ApplyCmp(Cmp op, int c) {
 /// Number of mask words a kernel writes for `n` rows.
 inline size_t MaskWords(size_t n) { return (n + 63) / 64; }
 
-/// True when the AVX2 kernels are compiled in, the CPU supports them, and
-/// the GRAPHSURGE_NO_SIMD environment variable does not disable them.
-/// Cached after the first call.
-bool Avx2Active();
-
-/// Human-readable dispatch state for build attribution (the gs_build_info
-/// metric): "avx2" (kernels active), "scalar" (compiled in but disabled by
-/// CPU or environment), or "killed" (compiled out by GRAPHSURGE_NO_SIMD).
-const char* DispatchStateName();
-
 /// Big-endian 8-byte prefix of a string: lexicographic comparison of two
 /// strings' first 8 bytes equals unsigned comparison of their prefixes.
 /// Strings shorter than 8 bytes are zero-padded; a prefix tie therefore
@@ -75,8 +57,8 @@ const char* DispatchStateName();
 uint64_t StringPrefix(const std::string& s);
 
 // ---------------------------------------------------------------------------
-// Dispatched kernels. `v` (and `a`/`b` for the Pairs forms) hold `n` rows;
-// `out` receives MaskWords(n) words.
+// Kernels. `v` (and `a`/`b` for the Pairs forms) hold `n` rows; `out`
+// receives MaskWords(n) words.
 
 void CmpF64Const(const double* v, size_t n, Cmp op, double c, uint64_t* out);
 void CmpF64Pairs(const double* a, const double* b, size_t n, Cmp op,
@@ -92,25 +74,6 @@ void CmpU64Pairs(const uint64_t* a, const uint64_t* b, size_t n, Cmp op,
 
 /// Validity/bool bytes → mask: bit j set iff v[64w + j] != 0.
 void BytesNonZero(const uint8_t* v, size_t n, uint64_t* out);
-
-// ---------------------------------------------------------------------------
-// Portable reference implementations (always compiled; the dispatched
-// kernels above fall back to these when AVX2 is unavailable or disabled).
-
-namespace scalar {
-void CmpF64Const(const double* v, size_t n, Cmp op, double c, uint64_t* out);
-void CmpF64Pairs(const double* a, const double* b, size_t n, Cmp op,
-                 uint64_t* out);
-void CmpI64Const(const int64_t* v, size_t n, Cmp op, int64_t c,
-                 uint64_t* out);
-void CmpI64Pairs(const int64_t* a, const int64_t* b, size_t n, Cmp op,
-                 uint64_t* out);
-void CmpU64Const(const uint64_t* v, size_t n, Cmp op, uint64_t c,
-                 uint64_t* out);
-void CmpU64Pairs(const uint64_t* a, const uint64_t* b, size_t n, Cmp op,
-                 uint64_t* out);
-void BytesNonZero(const uint8_t* v, size_t n, uint64_t* out);
-}  // namespace scalar
 
 }  // namespace gs::simd
 

@@ -11,6 +11,13 @@ namespace gs::server::http {
 
 namespace {
 
+/// Upper bound on the buffered request head (request line + headers).
+constexpr size_t kMaxHeadBytes = 8192;
+
+/// Upper bound on an accepted Content-Length. Requests declaring more are
+/// rejected with 413 before any body byte is read.
+constexpr size_t kMaxBodyBytes = 1 << 20;
+
 std::string ToLower(std::string s) {
   for (char& c : s) c = static_cast<char>(std::tolower(c));
   return s;
@@ -92,14 +99,14 @@ void WriteAll(int fd, const std::string& data) {
   }
 }
 
-ReadResult ReadRequest(int fd, std::string* buffer, const Limits& limits) {
+ReadResult ReadRequest(int fd, std::string* buffer) {
   // Buffer the head. A peer that closes or stalls mid-head is handled the
   // way the status server always has: nothing at all means no request;
   // a partial head falls through to the request-line parse, which rejects
   // whatever is incomplete about it.
   bool open = true;
   while (buffer->find("\r\n\r\n") == std::string::npos &&
-         buffer->size() < limits.max_head_bytes) {
+         buffer->size() < kMaxHeadBytes) {
     if (!RecvMore(fd, buffer)) {
       open = false;
       break;
@@ -112,7 +119,7 @@ ReadResult ReadRequest(int fd, std::string* buffer, const Limits& limits) {
   // dispatching a truncated target.
   size_t head_end = buffer->find("\r\n\r\n");
   if (head_end == std::string::npos &&
-      buffer->size() >= limits.max_head_bytes) {
+      buffer->size() >= kMaxHeadBytes) {
     return Reject(400, "request head too large\n");
   }
 
@@ -197,7 +204,7 @@ ReadResult ReadRequest(int fd, std::string* buffer, const Limits& limits) {
     }
     errno = 0;
     const unsigned long long parsed = std::strtoull(value.c_str(), nullptr, 10);
-    if (errno == ERANGE || parsed > limits.max_body_bytes) {
+    if (errno == ERANGE || parsed > kMaxBodyBytes) {
       return Reject(413, "request body too large\n");
     }
     content_length = static_cast<size_t>(parsed);

@@ -1,11 +1,13 @@
-// Dependency-free HTTP/1.1 plumbing shared by the status server and the
-// query-serving front end: request parsing (GET/HEAD/POST with
-// Content-Length bodies, keep-alive and pipelining, strict rejection of
-// what we do not speak) and response rendering over raw POSIX sockets.
+// Dependency-free HTTP/1.1 plumbing for the one listener
+// (server/status_server.h), which the status pages and the query-serving
+// front end share: request parsing (GET/HEAD/POST with Content-Length
+// bodies, keep-alive and pipelining, strict rejection of what we do not
+// speak) and response rendering over raw POSIX sockets.
 //
 // The protocol subset is deliberate:
 //   - Bodies require Content-Length. POST without one is 411; a body larger
-//     than the configured cap is 413 without reading it.
+//     than 1 MiB is 413 without reading it (POST bodies are statements, not
+//     data uploads). A request head larger than 8 KiB is 400.
 //   - Transfer-Encoding (chunked or otherwise) is rejected with 501 —
 //     ignoring it and misreading the framing would be worse than refusing.
 //   - Every parse error produces a complete HTTP error response the caller
@@ -17,7 +19,6 @@
 #ifndef GRAPHSURGE_SERVER_HTTP_H_
 #define GRAPHSURGE_SERVER_HTTP_H_
 
-#include <cstddef>
 #include <map>
 #include <string>
 
@@ -31,14 +32,6 @@ struct HttpResponse {
 };
 
 namespace http {
-
-struct Limits {
-  /// Upper bound on the buffered request head (request line + headers).
-  size_t max_head_bytes = 8192;
-  /// Upper bound on an accepted Content-Length. Requests declaring more
-  /// are rejected with 413 before any body byte is read.
-  size_t max_body_bytes = 1 << 20;
-};
 
 /// One parsed request.
 struct Request {
@@ -70,8 +63,7 @@ struct ReadResult {
 /// the caller). `buffer` holds bytes received beyond previous requests and
 /// returns with any bytes past this one — pass the same string across
 /// calls on a connection to support pipelining.
-ReadResult ReadRequest(int fd, std::string* buffer,
-                       const Limits& limits = Limits());
+ReadResult ReadRequest(int fd, std::string* buffer);
 
 const char* ReasonPhrase(int code);
 

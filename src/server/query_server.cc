@@ -1,28 +1,14 @@
 #include "server/query_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cctype>
-#include <cerrno>
-#include <cstring>
+#include <utility>
 
 #include "common/introspect.h"
-#include "common/logging.h"
 #include "common/metrics.h"
 
 namespace gs::server {
 
 namespace {
-
-/// Cap on requests served over one keep-alive connection.
-constexpr int kMaxRequestsPerConnection = 1000;
-
-/// POST bodies are statements, not data uploads.
-constexpr size_t kMaxBodyBytes = 1 << 20;
 
 std::string Quoted(const std::string& s) {
   return "\"" + introspect::JsonEscape(s) + "\"";
@@ -229,11 +215,6 @@ metrics::Counter* Statements() {
       metrics::Registry::Global().GetCounter("gs_query_server_statements");
   return c;
 }
-metrics::Counter* RejectedQueueFull() {
-  static auto* c = metrics::Registry::Global().GetCounter(
-      "gs_query_server_rejected_queue_full");
-  return c;
-}
 metrics::Counter* RejectedSessionCap() {
   static auto* c = metrics::Registry::Global().GetCounter(
       "gs_query_server_rejected_session_cap");
@@ -253,188 +234,33 @@ QueryServer::QueryServer(QueryServerOptions options)
         GraphsurgeOptions host;
         host.num_workers = options.num_workers;
         return host;
-      }()) {
-  status_pages_.Handle("/sessionz", [this] {
+      }()),
+      listener_(options.num_threads) {
+  // POST routes, each counted as a query-server request.
+  using Route = HttpResponse (QueryServer::*)(const http::Request&);
+  auto post = [this](const char* path, Route handle) {
+    listener_.HandlePost(path, [this, handle](const http::Request& request) {
+      Requests()->Increment();
+      return (this->*handle)(request);
+    });
+  };
+  post("/query", &QueryServer::HandleQuery);
+  post("/session", &QueryServer::HandleSessionOpen);
+  post("/session/close", &QueryServer::HandleSessionClose);
+  listener_.Handle("/sessionz", [this] {
     HttpResponse r;
     r.content_type = "application/json";
     r.body = SessionzJson();
     return r;
   });
+  listener_.Handle("/profilez", [this] {
+    HttpResponse r;
+    r.body = host_.Profile();
+    return r;
+  });
 }
 
 QueryServer::~QueryServer() { Stop(); }
-
-Status QueryServer::Start(uint16_t port) {
-  if (running()) return Status::InvalidArgument("query server already running");
-  if (options_.num_threads == 0) {
-    return Status::InvalidArgument("query server needs num_threads >= 1");
-  }
-
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Status::Internal("socket() failed");
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return Status::Internal("bind(127.0.0.1:" + std::to_string(port) +
-                            ") failed: " + std::strerror(errno));
-  }
-  if (::listen(fd, static_cast<int>(options_.max_queue)) != 0) {
-    ::close(fd);
-    return Status::Internal("listen() failed");
-  }
-  sockaddr_in bound = {};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &bound_len) !=
-      0) {
-    ::close(fd);
-    return Status::Internal("getsockname() failed");
-  }
-  if (::pipe(wake_pipe_) != 0) {
-    ::close(fd);
-    return Status::Internal("pipe() failed");
-  }
-
-  listen_fd_ = fd;
-  port_ = ntohs(bound.sin_port);
-  running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  workers_.reserve(options_.num_threads);
-  for (size_t i = 0; i < options_.num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-  GS_LOG(Info) << "query server listening on http://127.0.0.1:" << port_;
-  return Status::Ok();
-}
-
-void QueryServer::Stop() {
-  {
-    // Under the queue mutex: a worker between its wait predicate and its
-    // block would otherwise miss the notify_all below.
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    if (!running_.exchange(false)) return;
-  }
-  char byte = 'q';
-  ssize_t ignored = ::write(wake_pipe_[1], &byte, 1);
-  (void)ignored;
-  if (accept_thread_.joinable()) accept_thread_.join();
-  queue_cv_.notify_all();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    for (int fd : queue_) ::close(fd);
-    queue_.clear();
-  }
-  ::close(listen_fd_);
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
-  listen_fd_ = -1;
-  wake_pipe_[0] = wake_pipe_[1] = -1;
-}
-
-void QueryServer::AcceptLoop() {
-  // Rendered once: the rejection sent when the connection queue is full.
-  const std::string overload_wire = http::RenderResponse(
-      JsonError(503, "server overloaded: connection queue is full"),
-      /*keep_alive=*/false);
-  while (running()) {
-    pollfd fds[2] = {};
-    fds[0].fd = listen_fd_;
-    fds[0].events = POLLIN;
-    fds[1].fd = wake_pipe_[0];
-    fds[1].events = POLLIN;
-    int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (!running()) break;
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) continue;
-    timeval timeout = {};
-    timeout.tv_sec = options_.read_timeout_ms / 1000;
-    timeout.tv_usec = (options_.read_timeout_ms % 1000) * 1000;
-    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-    ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      if (queue_.size() < options_.max_queue) {
-        queue_.push_back(client);
-        queue_cv_.notify_one();
-        continue;
-      }
-    }
-    // Queue full: shed load with an immediate, deterministic 503 rather
-    // than queueing unbounded latency. Sent from the accept thread; the
-    // send timeout bounds how long a pathological client can stall it.
-    RejectedQueueFull()->Increment();
-    http::WriteAll(client, overload_wire);
-    ::close(client);
-  }
-}
-
-void QueryServer::WorkerLoop() {
-  for (;;) {
-    int fd = -1;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] { return !queue_.empty() || !running(); });
-      if (queue_.empty()) return;  // shutting down
-      fd = queue_.front();
-      queue_.pop_front();
-    }
-    ServeConnection(fd);
-    ::close(fd);
-  }
-}
-
-void QueryServer::ServeConnection(int fd) {
-  std::string buffer;
-  http::Limits limits;
-  limits.max_body_bytes = kMaxBodyBytes;
-  for (int served = 0; served < kMaxRequestsPerConnection; ++served) {
-    http::ReadResult in = http::ReadRequest(fd, &buffer, limits);
-    if (in.kind == http::ReadResult::Kind::kClosed) return;
-    if (in.kind == http::ReadResult::Kind::kError) {
-      http::WriteAll(fd, http::RenderResponse(in.error, /*keep_alive=*/false));
-      return;
-    }
-    const http::Request& request = in.request;
-    HttpResponse response = Route(request);
-    const bool keep_alive =
-        request.keep_alive && served + 1 < kMaxRequestsPerConnection;
-    std::string wire = http::RenderResponse(response, keep_alive);
-    if (request.method == "HEAD") wire.resize(wire.find("\r\n\r\n") + 4);
-    http::WriteAll(fd, wire);
-    if (!keep_alive) return;
-  }
-}
-
-HttpResponse QueryServer::Route(const http::Request& request) {
-  Requests()->Increment();
-  if (request.method == "GET" || request.method == "HEAD") {
-    return status_pages_.Dispatch(request.path);
-  }
-  if (request.method == "POST") {
-    if (request.path == "/query") return HandleQuery(request);
-    if (request.path == "/session") return HandleSessionOpen(request);
-    if (request.path == "/session/close") return HandleSessionClose(request);
-    return JsonError(404, "no POST handler for " + request.path);
-  }
-  HttpResponse r;
-  r.status_code = 405;
-  r.body = "only GET and POST are supported\n";
-  return r;
-}
 
 std::shared_ptr<QueryServer::Session> QueryServer::AdmitSession(
     const std::string& name, HttpResponse* error) {

@@ -27,32 +27,32 @@
 //             deterministically (std::map order) — two sessions that ran
 //             the same statement read byte-identical bodies.
 //       Errors answer {"ok": false, "error"}: 400 for InvalidArgument,
-//       NotFound, AlreadyExists and GVDL parse errors, 500 otherwise.
+//       NotFound, AlreadyExists and GVDL parse errors, 500 otherwise. A
+//       POST to any other path answers 404 (405 on a page's path), and
+//       other methods 405, in plain text from the listener.
 //   GET <path>
-//       Every status-server page (/metrics, /statusz, /healthz, ...)
-//       plus /sessionz (this server's session table), served from the
-//       same listener so one scrape target covers serving and engine
-//       state.
+//       Every status page (/metrics, /statusz, /healthz, /tracez,
+//       /timeseriez, /workersz), /profilez (the host system's
+//       Graphsurge::Profile(): the last collection run's per-view table
+//       plus the metrics), and /sessionz (this server's session table), so
+//       one scrape target covers serving and engine state. `/` lists them.
 //
-// Concurrency model: one accept thread hands connections to a bounded
-// queue drained by `num_threads` workers; a full queue answers 503
-// immediately rather than letting latency grow unbounded. Statements
-// within a session serialize on the session's mutex; distinct sessions
-// execute in parallel. Host graphs are fixed once Start() is called, so
-// sessions read them without a lock.
+// Concurrency model: the front end owns no socket or thread. Its routes
+// are registered on a StatusServer of its own (server/status_server.h)
+// started with `num_threads` workers: one accept thread, a bounded
+// connection queue whose overflow answers 503 at once, and the workers,
+// each running whole statements. Statements within a session serialize on
+// the session's mutex; distinct sessions execute in parallel. Host graphs
+// are fixed once Start() is called, so sessions read them without a lock.
 #ifndef GRAPHSURGE_SERVER_QUERY_SERVER_H_
 #define GRAPHSURGE_SERVER_QUERY_SERVER_H_
 
-#include <atomic>
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "api/graphsurge.h"
 #include "common/status.h"
@@ -67,11 +67,6 @@ struct QueryServerOptions {
   size_t num_threads = 4;
   /// Admission control: sessions beyond this answer 503.
   size_t max_sessions = 16;
-  /// Bounded accepted-connection queue; a connection arriving while the
-  /// queue is full is answered 503 and closed by the accept thread.
-  size_t max_queue = 64;
-  /// Socket receive/send timeout for accepted connections.
-  int read_timeout_ms = 5000;
   /// Dataflow worker shards per analytics run.
   size_t num_workers = 1;
 };
@@ -84,16 +79,15 @@ class QueryServer {
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  /// Binds 127.0.0.1:`port` (0 picks an ephemeral port; see port()) and
-  /// starts the accept thread plus the worker pool.
-  Status Start(uint16_t port);
+  /// Starts the listener on 127.0.0.1:`port` (0 picks an ephemeral port;
+  /// see port()).
+  Status Start(uint16_t port) { return listener_.Start(port); }
 
-  /// Stops accepting, drains the connection queue, and joins all threads.
-  /// Idempotent.
-  void Stop();
+  /// Stops the listener (see StatusServer::Stop). Idempotent.
+  void Stop() { listener_.Stop(); }
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
-  uint16_t port() const { return port_; }
+  bool running() const { return listener_.running(); }
+  uint16_t port() const { return listener_.port(); }
 
   // --- Host graph store ----------------------------------------------------
   // Shared across sessions, read-only to them. Fails while the server is
@@ -118,12 +112,6 @@ class QueryServer {
     Graphsurge::Session state;
   };
 
-  void AcceptLoop();
-  void WorkerLoop();
-  /// Serves one accepted connection to completion.
-  void ServeConnection(int fd);
-
-  HttpResponse Route(const http::Request& request);
   HttpResponse HandleSessionOpen(const http::Request& request);
   HttpResponse HandleSessionClose(const http::Request& request);
   HttpResponse HandleQuery(const http::Request& request);
@@ -139,25 +127,11 @@ class QueryServer {
   /// The host store and statement executor every session runs on.
   Graphsurge host_;
 
-  std::atomic<bool> running_{false};
-  int listen_fd_ = -1;
-  int wake_pipe_[2] = {-1, -1};
-  uint16_t port_ = 0;
-  std::thread accept_thread_;
-  std::vector<std::thread> workers_;
-
-  /// Bounded queue of accepted connections awaiting a worker. Stop() clears
-  /// running_ under this mutex so no waiting worker misses the wakeup.
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<int> queue_;
-
   mutable std::mutex sessions_mutex_;
   std::map<std::string, std::shared_ptr<Session>> sessions_;
 
-  /// GET pages: the full status-server registry (never Start()ed — only
-  /// its handler table is used) plus /sessionz.
-  StatusServer status_pages_;
+  /// Serves the status pages plus this front end's routes and pages.
+  StatusServer listener_;
 };
 
 }  // namespace gs::server

@@ -6,7 +6,8 @@
 // Loads the named graphs into the host store, starts the HTTP front end,
 // prints the bound port, and serves until SIGINT/SIGTERM. The same
 // listener answers analytics (POST /query) and every status page
-// (/metrics, /statusz, ...) — see server/query_server.h for the protocol.
+// (/metrics, /statusz, /profilez, ...) — see server/query_server.h for the
+// protocol.
 #include <cctype>
 #include <cerrno>
 #include <csignal>

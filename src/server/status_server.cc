@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -32,13 +31,18 @@ namespace {
 constexpr size_t kTracezEventsPerThread = 256;
 
 /// Cap on requests served over one keep-alive connection before the server
-/// closes it — a backstop against a client holding the single serve thread
-/// forever.
-constexpr int kMaxRequestsPerConnection = 100;
+/// closes it — a backstop against a client holding a worker forever.
+constexpr int kMaxRequestsPerConnection = 1000;
+
+/// Accepted connections that may wait for a worker (also the listen
+/// backlog); one more is answered 503 by the accept thread.
+constexpr size_t kMaxQueuedConnections = 64;
 
 }  // namespace
 
-StatusServer::StatusServer() { RegisterBuiltins(); }
+StatusServer::StatusServer(size_t num_threads) : num_threads_(num_threads) {
+  RegisterBuiltins();
+}
 
 StatusServer::~StatusServer() { Stop(); }
 
@@ -135,8 +139,16 @@ void StatusServer::Handle(const std::string& path, Handler handler) {
   handlers_[path] = std::move(handler);
 }
 
+void StatusServer::HandlePost(const std::string& path, PostHandler handler) {
+  std::lock_guard<std::mutex> lock(handlers_mutex_);
+  post_handlers_[path] = std::move(handler);
+}
+
 Status StatusServer::Start(uint16_t port) {
   if (running()) return Status::InvalidArgument("status server already running");
+  if (num_threads_ == 0) {
+    return Status::InvalidArgument("status server needs num_threads >= 1");
+  }
 
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return Status::Internal("socket() failed");
@@ -152,7 +164,7 @@ Status StatusServer::Start(uint16_t port) {
     return Status::Internal("bind(127.0.0.1:" + std::to_string(port) +
                             ") failed: " + std::strerror(errno));
   }
-  if (::listen(fd, 16) != 0) {
+  if (::listen(fd, static_cast<int>(kMaxQueuedConnections)) != 0) {
     ::close(fd);
     return Status::Internal("listen() failed");
   }
@@ -170,20 +182,34 @@ Status StatusServer::Start(uint16_t port) {
   listen_fd_ = fd;
   port_ = ntohs(bound.sin_port);
   running_.store(true, std::memory_order_release);
-  // A dedicated thread, not the worker pool: the serve loop blocks in
-  // poll() indefinitely and must never occupy a compute slot.
-  thread_ = std::thread([this] { ServeLoop(); });
-  GS_LOG(Info) << "status server listening on http://127.0.0.1:" << port_;
+  // Dedicated threads, not a compute pool: the accept loop blocks in
+  // poll() indefinitely and a worker blocks on its client's socket.
+  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  workers_.reserve(num_threads_);
+  for (size_t i = 0; i < num_threads_; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
+  GS_LOG(Info) << "server listening on http://127.0.0.1:" << port_;
   return Status::Ok();
 }
 
 void StatusServer::Stop() {
-  if (!running_.exchange(false)) return;
-  // Self-pipe: wake the poll() so the loop observes running_ == false.
+  {
+    // Under the queue mutex: a worker between its wait predicate and its
+    // block would otherwise miss the notify_all below.
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    if (!running_.exchange(false)) return;
+  }
+  // Self-pipe: wake the poll() so the accept loop sees running_ == false.
   char byte = 'q';
   ssize_t ignored = ::write(wake_pipe_[1], &byte, 1);
   (void)ignored;
-  if (thread_.joinable()) thread_.join();
+  accept_thread_.join();
+  queue_cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
+  workers_.clear();
+  for (int fd : queue_) ::close(fd);
+  queue_.clear();
   ::close(listen_fd_);
   ::close(wake_pipe_[0]);
   ::close(wake_pipe_[1]);
@@ -191,7 +217,18 @@ void StatusServer::Stop() {
   wake_pipe_[0] = wake_pipe_[1] = -1;
 }
 
-void StatusServer::ServeLoop() {
+void StatusServer::AcceptLoop() {
+  static metrics::Counter* rejected = metrics::Registry::Global().GetCounter(
+      "gs_query_server_rejected_queue_full");
+  // Rendered once: the answer to a connection that finds the queue full.
+  HttpResponse overloaded;
+  overloaded.status_code = 503;
+  overloaded.content_type = "application/json";
+  overloaded.body =
+      "{\"ok\": false, \"error\": \"server overloaded: connection queue "
+      "is full\"}\n";
+  const std::string overloaded_wire =
+      http::RenderResponse(overloaded, /*keep_alive=*/false);
   while (running()) {
     pollfd fds[2] = {};
     fds[0].fd = listen_fd_;
@@ -207,14 +244,39 @@ void StatusServer::ServeLoop() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     int client = ::accept(listen_fd_, nullptr, nullptr);
     if (client < 0) continue;
-    // Bound how long a stalled client can hold the (single) serve thread.
+    // Bound how long a stalled client can hold a worker (or, for the 503
+    // below, the accept thread).
     timeval timeout = {};
     timeout.tv_sec = read_timeout_ms_ / 1000;
     timeout.tv_usec = (read_timeout_ms_ % 1000) * 1000;
     ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
     ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
-    ServeConnection(client);
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex_);
+      if (queue_.size() < kMaxQueuedConnections) {
+        queue_.push_back(client);
+        queue_cv_.notify_one();
+        continue;
+      }
+    }
+    rejected->Increment();
+    http::WriteAll(client, overloaded_wire);
     ::close(client);
+  }
+}
+
+void StatusServer::WorkerLoop() {
+  for (;;) {
+    int fd = -1;
+    {
+      std::unique_lock<std::mutex> lock(queue_mutex_);
+      queue_cv_.wait(lock, [this] { return !queue_.empty() || !running(); });
+      if (!running()) return;  // Stop() closes what is still queued
+      fd = queue_.front();
+      queue_.pop_front();
+    }
+    ServeConnection(fd);
+    ::close(fd);
   }
 }
 
@@ -228,13 +290,7 @@ void StatusServer::ServeConnection(int fd) {
       return;
     }
     const http::Request& request = in.request;
-    HttpResponse response;
-    if (request.method != "GET" && request.method != "HEAD") {
-      response.status_code = 405;
-      response.body = "only GET is supported\n";
-    } else {
-      response = Dispatch(request.path);
-    }
+    const HttpResponse response = Route(request);
     const bool keep_alive =
         request.keep_alive && served + 1 < kMaxRequestsPerConnection;
     std::string wire = http::RenderResponse(response, keep_alive);
@@ -244,6 +300,34 @@ void StatusServer::ServeConnection(int fd) {
     http::WriteAll(fd, wire);
     if (!keep_alive) return;
   }
+}
+
+HttpResponse StatusServer::Route(const http::Request& request) const {
+  if (request.method == "GET" || request.method == "HEAD") {
+    return Dispatch(request.path);
+  }
+  PostHandler handler;
+  bool is_page = request.path == "/";
+  {
+    std::lock_guard<std::mutex> lock(handlers_mutex_);
+    auto it = post_handlers_.find(request.path);
+    if (request.method == "POST" && it != post_handlers_.end()) {
+      handler = it->second;
+    }
+    is_page = is_page || handlers_.count(request.path) != 0;
+  }
+  // Invoked outside handlers_mutex_, like the pages in Dispatch().
+  if (handler) return handler(request);
+  HttpResponse r;
+  if (request.method == "POST" && !is_page) {
+    r.status_code = 404;
+    r.body = "no POST handler for " + request.path + "\n";
+  } else {
+    r.status_code = 405;
+    r.body = "method " + request.method + " not allowed on " + request.path +
+             "\n";
+  }
+  return r;
 }
 
 HttpResponse StatusServer::Dispatch(const std::string& path) const {

@@ -224,10 +224,7 @@ TEST(RegistryTest, GlobalCarriesBuildInfoGauge) {
   const Registry::Labels& labels = BuildInfoLabels();
   ASSERT_EQ(labels.count("git_sha"), 1u);
   ASSERT_EQ(labels.count("compiler"), 1u);
-  ASSERT_EQ(labels.count("simd"), 1u);
   EXPECT_FALSE(labels.at("compiler").empty());
-  const std::string& simd = labels.at("simd");
-  EXPECT_TRUE(simd == "avx2" || simd == "scalar" || simd == "killed") << simd;
   EXPECT_EQ(Registry::Global().GetGauge("gs_build_info", labels)->Value(), 1);
 }
 

@@ -365,6 +365,39 @@ TEST_F(QueryServerTest, StatusPagesServedFromSameListener) {
   EXPECT_NE(statusz.body.find("arrangement-cache"), std::string::npos);
 
   EXPECT_EQ(HttpGet(server_.port(), "/healthz").body, "ok\n");
+
+  // /profilez renders the host system's profile: after a collection run,
+  // that run's per-view table (header row, one row per view, TOTAL).
+  ASSERT_EQ(Query(server_.port(), "s",
+                  "create view collection C on G [light: weight < 30], "
+                  "[all: weight < 200]")
+                .status_code,
+            200);
+  ASSERT_EQ(Query(server_.port(), "s", "run wcc on C").status_code, 200);
+  HttpReply profile = HttpGet(server_.port(), "/profilez");
+  ASSERT_EQ(profile.status_code, 200);
+  EXPECT_EQ(profile.body.rfind("view", 0), 0u) << profile.body;
+  EXPECT_NE(profile.body.find("\n0 "), std::string::npos) << profile.body;
+  EXPECT_NE(profile.body.find("\n1 "), std::string::npos) << profile.body;
+  EXPECT_NE(profile.body.find("\nTOTAL"), std::string::npos) << profile.body;
+
+  // The index lists every page the listener serves, this front end's too.
+  HttpReply index = HttpGet(server_.port(), "/");
+  ASSERT_EQ(index.status_code, 200);
+  for (const char* path : {"/healthz", "/metrics", "/statusz", "/timeseriez",
+                           "/tracez", "/workersz", "/profilez", "/sessionz"}) {
+    EXPECT_NE(index.body.find(std::string("  ") + path + "\n"),
+              std::string::npos)
+        << path << " missing from:\n" << index.body;
+  }
+}
+
+TEST_F(QueryServerTest, FullQueueAnswers503) {
+  QueryServerOptions options;
+  options.num_threads = 1;
+  QueryServer single(options);
+  ASSERT_TRUE(single.Start(0).ok());
+  testutil::ExpectFullQueueAnswers503(single.port());
 }
 
 // --- Concurrency stress -----------------------------------------------------

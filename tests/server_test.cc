@@ -44,6 +44,7 @@ using testutil::ExpectHttpConformance;
 using testutil::HttpFetch;
 using testutil::HttpGet;
 using testutil::HttpPipeline;
+using testutil::HttpPost;
 using testutil::HttpReply;
 using IntPair = std::pair<int64_t, int64_t>;
 
@@ -187,6 +188,29 @@ TEST_F(StatusServerTest, NonGetIs405) {
                 "POST /healthz HTTP/1.1\r\nHost: x\r\n"
                 "Connection: close\r\nContent-Length: 0\r\n\r\n");
   EXPECT_EQ(reply.status_code, 405);
+}
+
+TEST_F(StatusServerTest, PostRoutesAndMethodRules) {
+  server_.HandlePost("/echo", [](const server::http::Request& request) {
+    server::HttpResponse r;
+    r.body = request.body;
+    return r;
+  });
+  EXPECT_EQ(HttpPost(server_.port(), "/echo", "hello", "text/plain").body,
+            "hello");
+  // POST to a page is the wrong method; POST to nothing is not found.
+  EXPECT_EQ(HttpPost(server_.port(), "/healthz", "{}").status_code, 405);
+  EXPECT_EQ(HttpPost(server_.port(), "/nosuch", "{}").status_code, 404);
+  EXPECT_EQ(HttpFetch(server_.port(),
+                      "DELETE /echo HTTP/1.1\r\nHost: x\r\n"
+                      "Connection: close\r\n\r\n")
+                .status_code,
+            405);
+}
+
+TEST_F(StatusServerTest, FullQueueAnswers503) {
+  // The fixture's server runs the default single worker.
+  testutil::ExpectFullQueueAnswers503(server_.port());
 }
 
 TEST_F(StatusServerTest, MalformedRequestIs400) {

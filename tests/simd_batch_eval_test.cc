@@ -1,8 +1,8 @@
-// Vectorized data plane cross-checks: the dispatched SIMD compare kernels
-// against the unconditionally compiled scalar namespace on randomized
-// arrays (including NaNs and integer extremes), and the batch predicate
-// evaluator against the per-edge scalar compiler on randomized property
-// tables with NULL cells, string prefix ties, and tombstoned edges.
+// Batch data plane cross-checks: the mask compare kernels against a
+// per-row reference on randomized arrays (including NaNs, infinities, -0.0
+// and integer extremes), and the batch predicate evaluator against the
+// per-edge scalar compiler on randomized property tables with NULL cells,
+// string prefix ties, and tombstoned edges.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -31,56 +31,87 @@ constexpr simd::Cmp kAllOps[] = {simd::Cmp::kEq, simd::Cmp::kNe,
 
 const size_t kLengths[] = {0, 1, 7, 63, 64, 65, 127, 128, 1000};
 
-TEST(SimdKernelTest, I64MatchesScalarNamespace) {
+/// The ordered three-way compare of the kernel contract: a NaN on either
+/// side is neither less nor greater, so it lands in "equal".
+template <typename T>
+int ThreeWay(T a, T b) {
+  if (a < b) return -1;
+  if (b < a) return 1;
+  return 0;
+}
+
+/// Per-row reference mask: bit i is ApplyCmp(op, three_way(i)). One extra
+/// sentinel word of all ones follows the MaskWords(n) words; a kernel
+/// writing past its last word would clobber it.
+template <typename ThreeWayOfRow>
+std::vector<uint64_t> ReferenceMask(size_t n, simd::Cmp op,
+                                    ThreeWayOfRow&& three_way) {
+  std::vector<uint64_t> mask(simd::MaskWords(n) + 1, 0);
+  mask.back() = ~uint64_t{0};
+  for (size_t i = 0; i < n; ++i) {
+    if (simd::ApplyCmp(op, three_way(i))) {
+      mask[i / 64] |= uint64_t{1} << (i % 64);
+    }
+  }
+  return mask;
+}
+
+TEST(SimdKernelTest, I64MatchesPerRowReference) {
   Rng rng(7);
   for (size_t n : kLengths) {
     std::vector<int64_t> a(n), b(n);
     for (size_t i = 0; i < n; ++i) {
-      // Small range forces plenty of equal lanes; sprinkle in extremes.
+      // Small range forces plenty of equal rows; sprinkle in extremes.
       a[i] = rng.Uniform(-4, 4);
       b[i] = rng.Uniform(-4, 4);
       if (rng.Bernoulli(0.05)) a[i] = std::numeric_limits<int64_t>::min();
       if (rng.Bernoulli(0.05)) b[i] = std::numeric_limits<int64_t>::max();
     }
-    std::vector<uint64_t> got(simd::MaskWords(n) + 1, ~uint64_t{0});
-    std::vector<uint64_t> want(simd::MaskWords(n) + 1, ~uint64_t{0});
     for (simd::Cmp op : kAllOps) {
+      std::vector<uint64_t> got(simd::MaskWords(n) + 1, ~uint64_t{0});
       simd::CmpI64Const(a.data(), n, op, int64_t{2}, got.data());
-      simd::scalar::CmpI64Const(a.data(), n, op, int64_t{2}, want.data());
-      EXPECT_EQ(got, want) << "I64Const n=" << n << " op=" << int(op);
+      EXPECT_EQ(got, ReferenceMask(n, op, [&](size_t i) {
+                  return ThreeWay(a[i], int64_t{2});
+                }))
+          << "I64Const n=" << n << " op=" << int(op);
       simd::CmpI64Pairs(a.data(), b.data(), n, op, got.data());
-      simd::scalar::CmpI64Pairs(a.data(), b.data(), n, op, want.data());
-      EXPECT_EQ(got, want) << "I64Pairs n=" << n << " op=" << int(op);
+      EXPECT_EQ(got, ReferenceMask(n, op, [&](size_t i) {
+                  return ThreeWay(a[i], b[i]);
+                }))
+          << "I64Pairs n=" << n << " op=" << int(op);
     }
   }
 }
 
-TEST(SimdKernelTest, U64MatchesScalarNamespace) {
+TEST(SimdKernelTest, U64MatchesPerRowReference) {
   Rng rng(8);
   for (size_t n : kLengths) {
     std::vector<uint64_t> a(n), b(n);
     for (size_t i = 0; i < n; ++i) {
-      // Values straddling the sign bit exercise the bias trick.
+      // Values straddling the sign bit: unsigned order must not be read as
+      // signed order.
       a[i] = static_cast<uint64_t>(rng.Uniform(-3, 3)) +
              (rng.Bernoulli(0.5) ? (uint64_t{1} << 63) : 0);
       b[i] = static_cast<uint64_t>(rng.Uniform(-3, 3)) +
              (rng.Bernoulli(0.5) ? (uint64_t{1} << 63) : 0);
     }
-    std::vector<uint64_t> got(simd::MaskWords(n) + 1, ~uint64_t{0});
-    std::vector<uint64_t> want(simd::MaskWords(n) + 1, ~uint64_t{0});
     for (simd::Cmp op : kAllOps) {
+      std::vector<uint64_t> got(simd::MaskWords(n) + 1, ~uint64_t{0});
       simd::CmpU64Const(a.data(), n, op, uint64_t{1} << 63, got.data());
-      simd::scalar::CmpU64Const(a.data(), n, op, uint64_t{1} << 63,
-                                want.data());
-      EXPECT_EQ(got, want) << "U64Const n=" << n << " op=" << int(op);
+      EXPECT_EQ(got, ReferenceMask(n, op, [&](size_t i) {
+                  return ThreeWay(a[i], uint64_t{1} << 63);
+                }))
+          << "U64Const n=" << n << " op=" << int(op);
       simd::CmpU64Pairs(a.data(), b.data(), n, op, got.data());
-      simd::scalar::CmpU64Pairs(a.data(), b.data(), n, op, want.data());
-      EXPECT_EQ(got, want) << "U64Pairs n=" << n << " op=" << int(op);
+      EXPECT_EQ(got, ReferenceMask(n, op, [&](size_t i) {
+                  return ThreeWay(a[i], b[i]);
+                }))
+          << "U64Pairs n=" << n << " op=" << int(op);
     }
   }
 }
 
-TEST(SimdKernelTest, F64MatchesScalarNamespaceIncludingNaN) {
+TEST(SimdKernelTest, F64MatchesPerRowReferenceIncludingNaN) {
   Rng rng(9);
   const double kNaN = std::numeric_limits<double>::quiet_NaN();
   const double kInf = std::numeric_limits<double>::infinity();
@@ -95,20 +126,23 @@ TEST(SimdKernelTest, F64MatchesScalarNamespaceIncludingNaN) {
       if (rng.Bernoulli(0.05)) b[i] = -kInf;
       if (rng.Bernoulli(0.05)) a[i] = -0.0;
     }
-    std::vector<uint64_t> got(simd::MaskWords(n) + 1, ~uint64_t{0});
-    std::vector<uint64_t> want(simd::MaskWords(n) + 1, ~uint64_t{0});
     for (simd::Cmp op : kAllOps) {
+      std::vector<uint64_t> got(simd::MaskWords(n) + 1, ~uint64_t{0});
       simd::CmpF64Const(a.data(), n, op, 0.5, got.data());
-      simd::scalar::CmpF64Const(a.data(), n, op, 0.5, want.data());
-      EXPECT_EQ(got, want) << "F64Const n=" << n << " op=" << int(op);
+      EXPECT_EQ(got, ReferenceMask(n, op, [&](size_t i) {
+                  return ThreeWay(a[i], 0.5);
+                }))
+          << "F64Const n=" << n << " op=" << int(op);
       simd::CmpF64Pairs(a.data(), b.data(), n, op, got.data());
-      simd::scalar::CmpF64Pairs(a.data(), b.data(), n, op, want.data());
-      EXPECT_EQ(got, want) << "F64Pairs n=" << n << " op=" << int(op);
+      EXPECT_EQ(got, ReferenceMask(n, op, [&](size_t i) {
+                  return ThreeWay(a[i], b[i]);
+                }))
+          << "F64Pairs n=" << n << " op=" << int(op);
     }
   }
 }
 
-TEST(SimdKernelTest, BytesNonZeroMatchesScalarNamespace) {
+TEST(SimdKernelTest, BytesNonZeroMatchesPerRowReference) {
   Rng rng(10);
   for (size_t n : kLengths) {
     std::vector<uint8_t> v(n);
@@ -117,10 +151,12 @@ TEST(SimdKernelTest, BytesNonZeroMatchesScalarNamespace) {
                                 : 0;
     }
     std::vector<uint64_t> got(simd::MaskWords(n) + 1, ~uint64_t{0});
-    std::vector<uint64_t> want(simd::MaskWords(n) + 1, ~uint64_t{0});
     simd::BytesNonZero(v.data(), n, got.data());
-    simd::scalar::BytesNonZero(v.data(), n, want.data());
-    EXPECT_EQ(got, want) << "BytesNonZero n=" << n;
+    // "Non-zero" is "not equal to zero" under the same per-row rule.
+    EXPECT_EQ(got, ReferenceMask(n, simd::Cmp::kNe, [&](size_t i) {
+                return ThreeWay(v[i], uint8_t{0});
+              }))
+        << "BytesNonZero n=" << n;
   }
 }
 

@@ -12,13 +12,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algorithms/computation.h"
 #include "algorithms/reference.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "differential/differential.h"
 #include "graph/types.h"
@@ -286,6 +289,69 @@ inline void ExpectHttpConformance(uint16_t port) {
 
   // Garbage request line.
   EXPECT_EQ(HttpFetch(port, "not-http\r\n\r\n").status_code, 400);
+}
+
+/// The overload contract of server/status_server.h, which every front end
+/// runs on. `port` must serve /healthz with one worker. With that worker
+/// pinned by a keep-alive connection and the 64-slot connection queue full
+/// behind it, the next connection reads the canned 503 JSON body (and
+/// gs_query_server_rejected_queue_full grows by one); once the clients
+/// close, /healthz answers 200 again. Starts no threads.
+inline void ExpectFullQueueAnswers503(uint16_t port) {
+  constexpr size_t kQueueSlots = 64;
+  metrics::Counter* rejected = metrics::Registry::Global().GetCounter(
+      "gs_query_server_rejected_queue_full");
+  const uint64_t rejected_before = rejected->Value();
+
+  // Pin the worker: a keep-alive exchange leaves it waiting on this
+  // connection for the next request.
+  const int pinned = HttpConnect(port);
+  ASSERT_GE(pinned, 0);
+  SendAll(pinned, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+  std::string stream;
+  HttpReply first;
+  char buf[4096];
+  while (!PopHttpReply(&stream, &first)) {
+    const ssize_t n = ::recv(pinned, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    stream.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(first.status_code, 200);
+  EXPECT_NE(first.raw.find("Connection: keep-alive"), std::string::npos);
+
+  // The accept thread takes connections in arrival order, so these fill
+  // the queue before the next one is accepted.
+  std::vector<int> queued;
+  for (size_t i = 0; i < kQueueSlots; ++i) {
+    const int fd = HttpConnect(port);
+    EXPECT_GE(fd, 0);
+    if (fd >= 0) queued.push_back(fd);
+  }
+  const int overflow = HttpConnect(port);
+  EXPECT_GE(overflow, 0);
+  const std::string raw = overflow >= 0 ? RecvToEof(overflow) : "";
+  if (overflow >= 0) ::close(overflow);
+  EXPECT_EQ(raw.rfind("HTTP/1.1 503 ", 0), 0u) << raw;
+  EXPECT_NE(raw.find("Content-Type: application/json"), std::string::npos);
+  EXPECT_NE(raw.find("\r\n\r\n{\"ok\": false, \"error\": \"server "
+                     "overloaded: connection queue is full\"}\n"),
+            std::string::npos)
+      << raw;
+  EXPECT_EQ(rejected->Value(), rejected_before + 1);
+
+  ::close(pinned);
+  for (int fd : queued) ::close(fd);
+  // The worker now drains the closed connections; a connection accepted
+  // before it has taken the first of them still finds the queue full, so
+  // the recovery check retries for up to two seconds.
+  HttpReply healthy;
+  for (int attempt = 0; attempt < 200 && healthy.status_code != 200;
+       ++attempt) {
+    if (attempt > 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    healthy = HttpGet(port, "/healthz");
+  }
+  EXPECT_EQ(healthy.status_code, 200);
+  EXPECT_EQ(healthy.body, "ok\n");
 }
 
 }  // namespace gs::testutil
