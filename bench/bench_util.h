@@ -20,7 +20,6 @@
 #include "common/random.h"
 #include "common/sched_profile.h"
 #include "common/timer.h"
-#include "common/timeseries.h"
 #include "common/watchdog.h"
 #include "graph/generators.h"
 #include "server/status_server.h"
@@ -85,12 +84,11 @@ class BenchReport {
   explicit BenchReport(std::string name) : name_(std::move(name)) {
     // Every bench binary is scrapeable: GRAPHSURGE_STATUS_PORT starts the
     // embedded status server even in harnesses that drive the engine
-    // directly without constructing an api::Graphsurge. The health plane
-    // rides along the same way (GRAPHSURGE_SAMPLE_MS / GRAPHSURGE_WATCHDOG),
-    // which doubles as the overhead gate: the --compare regression check
-    // runs with sampler + watchdog active at their default cadences.
+    // directly without constructing an api::Graphsurge. The watchdog rides
+    // along the same way (GRAPHSURGE_WATCHDOG), which doubles as its
+    // overhead gate: the --compare regression check runs with it active at
+    // its default cadence.
     server::StatusServer::MaybeStartFromEnv();
-    timeseries::Sampler::MaybeStartFromEnv();
     watchdog::Watchdog::MaybeStartFromEnv();
   }
 
@@ -174,8 +172,6 @@ class BenchReport {
     std::string out = "{\n  \"bench\": " + Row::Quote(name_) + ",\n";
     out += "  \"meta\": " + meta_.Render() + ",\n";
     out += "  \"metrics\": " + metrics::Registry::Global().JsonSnapshot() +
-           ",\n";
-    out += "  \"timeseries\": " + timeseries::Store::Global().ToJson() +
            ",\n";
     // Process-lifetime scheduler attribution rollup (busy/exchange/barrier/
     // seal/idle nanos + skew). Nanosecond fields, so the --compare seconds

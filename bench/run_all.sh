@@ -50,15 +50,13 @@ fi
 
 mkdir -p "${OUT_DIR}"
 export GS_BENCH_JSON_DIR="${OUT_DIR}"
-# Health plane on by default: every bench runs with the metrics sampler and
-# the stall watchdog active at their default cadences, so --compare doubles
-# as the observability overhead gate. Override with GRAPHSURGE_SAMPLE_MS=0 /
-# GRAPHSURGE_WATCHDOG=0 to measure without them.
-# The scheduler attribution profiler (sched_profile, the /workersz data
-# source) is always on — it is a handful of clock reads per Step() — so the
-# 15% --compare bound also gates its overhead; its rollup lands in each
-# BENCH_*.json under "sched".
-export GRAPHSURGE_SAMPLE_MS="${GRAPHSURGE_SAMPLE_MS:-250}"
+# Stall watchdog on by default: every bench runs with it active at its
+# default cadence, so --compare doubles as its overhead gate. Override with
+# GRAPHSURGE_WATCHDOG=0 to measure without it.
+# The scheduler attribution profiler (sched_profile, the "sched" block of
+# each dataflow's /statusz source) is always on — it is a handful of clock
+# reads per Step() — so the 15% --compare bound also gates its overhead;
+# its rollup lands in each BENCH_*.json under "sched".
 export GRAPHSURGE_WATCHDOG="${GRAPHSURGE_WATCHDOG:-1}"
 export GRAPHSURGE_FLIGHT_DIR="${GRAPHSURGE_FLIGHT_DIR:-${OUT_DIR}}"
 

@@ -31,7 +31,8 @@ std::vector<std::function<bool(EdgeId)>> PerturbationPredicates(
     std::string label = "rm";
     for (size_t c : combo) {
       removed |= 1ULL << c;
-      label += "_" + std::to_string(c);
+      label += '_';
+      label += std::to_string(c);
     }
     names->push_back(label);
     const PropertyGraph* graph = &g;

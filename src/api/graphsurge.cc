@@ -15,7 +15,6 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/timer.h"
-#include "common/timeseries.h"
 #include "common/watchdog.h"
 #include "server/status_server.h"
 
@@ -156,9 +155,8 @@ Graphsurge::Graphsurge(GraphsurgeOptions options)
   // sanitizer runtimes, which install their own handlers first).
   InstallCrashHandlers();
   server::StatusServer::MaybeStartFromEnv();
-  // The health plane is opt-in the same way the status server is: sampling
-  // on GRAPHSURGE_SAMPLE_MS, the watchdog on GRAPHSURGE_WATCHDOG.
-  timeseries::Sampler::MaybeStartFromEnv();
+  // The watchdog is opt-in the same way the status server is, on
+  // GRAPHSURGE_WATCHDOG.
   watchdog::Watchdog::MaybeStartFromEnv();
   {
     std::lock_guard<std::mutex> lock(g_profilez_mutex);
@@ -558,7 +556,7 @@ StatusOr<std::string> Graphsurge::ExplainCollection(
           << std::setw(14) << "pred diff s" << "  basis\n";
       for (const views::ChunkDecision& d : run.chunk_decisions) {
         out << std::left << std::setw(12)
-            << ("[" + std::to_string(d.begin) + "," +
+            << (std::string("[").append(std::to_string(d.begin)) + "," +
                 std::to_string(d.end) + ")")
             << std::setw(10) << (d.scratch ? "scratch" : "diff");
         out << std::right << std::setprecision(6) << std::setw(16);

@@ -211,8 +211,8 @@ class Graphsurge {
   // --- Live introspection ---------------------------------------------------
   /// Starts the embedded HTTP status server on 127.0.0.1:`port` (0 picks an
   /// ephemeral port; see server::StatusServer::Global().port()). Serves
-  /// /healthz, /metrics, /timeseriez, /tracez, /workersz, /statusz and the
-  /// newest live system's /profilez (its Profile()), indexed at /. Also
+  /// /healthz, /metrics, /statusz, /tracez and the newest live system's
+  /// /profilez (its Profile()), indexed at /. Also
   /// started automatically when GRAPHSURGE_STATUS_PORT is set in the
   /// environment.
   Status StartStatusServer(uint16_t port);

@@ -10,7 +10,7 @@
 #include "common/introspect.h"
 #include "common/metrics.h"
 #include "common/status.h"
-#include "common/timeseries.h"
+#include "common/timer.h"
 #include "common/trace_event.h"
 
 namespace gs {
@@ -76,9 +76,6 @@ void InstallCrashHandlers() {
 
 std::string RenderFlightRecorderJson(const char* reason,
                                      const std::vector<std::string>& rules) {
-  // Take one final sample pass so the time-series history includes the
-  // instant of the dump even at a slow sampler cadence.
-  timeseries::Sampler::Global().SampleOnce();
   const uint64_t unix_ms = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::system_clock::now().time_since_epoch())
@@ -87,22 +84,24 @@ std::string RenderFlightRecorderJson(const char* reason,
   out += introspect::JsonEscape(reason == nullptr ? "" : reason);
   out += "\", \"violated_rules\": [";
   for (size_t i = 0; i < rules.size(); ++i) {
-    if (i) out += ", ";
-    out += "\"" + introspect::JsonEscape(rules[i]) + "\"";
+    out += i ? ", \"" : "\"";
+    out += introspect::JsonEscape(rules[i]);
+    out += '"';
   }
   out += "], \"timestamp_ms\": " + std::to_string(unix_ms);
-  out += ", \"uptime_ms\": " + std::to_string(timeseries::NowMillis());
+  out += ", \"uptime_ms\": " + std::to_string(NowMillis());
   out += ", \"build\": {";
   bool first = true;
   for (const auto& [key, value] : metrics::BuildInfoLabels()) {
-    if (!first) out += ", ";
+    out += first ? "\"" : ", \"";
     first = false;
-    out += "\"" + introspect::JsonEscape(key) + "\": \"" +
-           introspect::JsonEscape(value) + "\"";
+    out += introspect::JsonEscape(key);
+    out += "\": \"";
+    out += introspect::JsonEscape(value);
+    out += '"';
   }
   out += "}, \"trace_events\": " + trace::ToJsonTail(256);
   out += ", \"metrics\": " + metrics::Registry::Global().JsonSnapshot();
-  out += ", \"timeseries\": " + timeseries::Store::Global().ToJson();
   out += "}\n";
   return out;
 }

@@ -32,11 +32,10 @@ void InstallCrashHandlers();
 
 /// Renders one flight-recorder document as JSON: the reason and violated
 /// rules (the watchdog's, empty for crashes), wall-clock and process-uptime
-/// timestamps, build attribution, the newest trace events per thread, the
-/// full metrics snapshot, and the time-series history. This is the payload
-/// of watchdog flight dumps; unlike DumpFlightRecorder it has no one-shot
-/// guard and does not kill or alter tracing state — the process keeps
-/// running.
+/// timestamps, build attribution, the newest trace events per thread, and
+/// the full metrics snapshot. This is the payload of watchdog flight dumps;
+/// unlike DumpFlightRecorder it has no one-shot guard and does not kill or
+/// alter tracing state — the process keeps running.
 std::string RenderFlightRecorderJson(const char* reason,
                                      const std::vector<std::string>& rules);
 

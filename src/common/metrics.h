@@ -176,8 +176,8 @@ class Registry {
 
   /// Invokes `fn(key, value, is_counter)` for every counter and gauge
   /// series (counters first). Runs under the registry mutex — keep `fn`
-  /// cheap, and never call back into Get* from it. This is the sampler's
-  /// enumeration surface (timeseries.h).
+  /// cheap, and never call back into Get* from it. The watchdog reads the
+  /// per-graph gs_graph_epoch gauges through it.
   void VisitScalars(
       const std::function<void(const std::string& key, double value,
                                bool is_counter)>& fn) const;

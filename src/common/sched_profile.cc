@@ -5,9 +5,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "common/introspect.h"
 #include "common/metrics.h"
-#include "common/timeseries.h"
 
 namespace gs::sched {
 
@@ -19,12 +17,6 @@ namespace {
 std::atomic<uint64_t> g_state_nanos[kNumStates];
 std::atomic<uint64_t> g_steps{0};
 std::atomic<uint64_t> g_wall_nanos{0};
-
-std::string FormatFraction(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.4f", value);
-  return buf;
-}
 
 void AppendAttribution(std::string* out, size_t worker,
                        const WorkerAttribution& a) {
@@ -120,10 +112,7 @@ StepProfile::StepProfile(std::string name, size_t num_workers)
            {"worker", std::to_string(w)}}));
     }
   }
-  ProfileRegistry::Global().Register(this);
 }
-
-StepProfile::~StepProfile() { ProfileRegistry::Global().Unregister(this); }
 
 void StepProfile::StepBegin(uint32_t version) {
   in_step_ = true;
@@ -270,25 +259,10 @@ void StepProfile::StepEnd(const StepInputs& inputs) {
     event_ratio_gauge->Set(
         static_cast<int64_t>(event_skew.max_mean_ratio * 1000));
   }
-  // Time-series for the /workersz sparklines. Busy fraction is the
-  // cross-worker mean for this step.
-  const uint64_t denom = wall * num_workers_;
-  const double busy_frac =
-      denom > 0 ? static_cast<double>(
-                      state_sums[static_cast<size_t>(State::kBusy)]) /
-                      static_cast<double>(denom)
-                : 0.0;
-  const uint64_t t_ms = timeseries::NowMillis();
-  if (record_skew.max_mean_ratio > 0.0) {
-    timeseries::Store::Global().Record("gs_sched_skew_ratio", t_ms,
-                                       record_skew.max_mean_ratio);
-  }
-  timeseries::Store::Global().Record("gs_sched_busy_frac", t_ms, busy_frac);
 }
 
 StepProfile::Snapshot StepProfile::GetSnapshot() const {
   Snapshot snap;
-  snap.name = name_;
   snap.num_workers = num_workers_;
   std::lock_guard<std::mutex> lock(snapshot_mutex_);
   snap.steps = steps_;
@@ -304,24 +278,25 @@ StepProfile::Snapshot StepProfile::GetSnapshot() const {
 
 std::string StepProfile::RenderJson() const {
   Snapshot snap = GetSnapshot();
-  std::string out = "{\"name\": \"" + introspect::JsonEscape(snap.name) +
-                    "\", \"workers\": " + std::to_string(snap.num_workers) +
-                    ", \"steps\": " + std::to_string(snap.steps) +
-                    ", \"wall_ns\": " + std::to_string(snap.wall_ns) +
-                    ", \"exchange_batches\": " +
-                    std::to_string(snap.exchange_batches);
-  out += ", \"attribution\": [";
+  using ull = unsigned long long;
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "{\"steps\": %llu, \"wall_ns\": %llu, "
+                "\"exchange_batches\": %llu, \"attribution\": [",
+                static_cast<ull>(snap.steps), static_cast<ull>(snap.wall_ns),
+                static_cast<ull>(snap.exchange_batches));
+  std::string out = buf;
   for (size_t w = 0; w < snap.totals.size(); ++w) {
     if (w) out += ", ";
     AppendAttribution(&out, w, snap.totals[w]);
   }
-  out += "], \"skew\": {\"records_ratio\": " +
-         FormatFraction(snap.record_skew.max_mean_ratio) +
-         ", \"records_gini\": " + FormatFraction(snap.record_skew.gini) +
-         ", \"events_ratio\": " +
-         FormatFraction(snap.event_skew.max_mean_ratio) +
-         ", \"events_gini\": " + FormatFraction(snap.event_skew.gini) +
-         ", \"per_shard_records\": [";
+  std::snprintf(buf, sizeof(buf),
+                "], \"skew\": {\"records_ratio\": %.4f, "
+                "\"records_gini\": %.4f, \"events_ratio\": %.4f, "
+                "\"events_gini\": %.4f, \"per_shard_records\": [",
+                snap.record_skew.max_mean_ratio, snap.record_skew.gini,
+                snap.event_skew.max_mean_ratio, snap.event_skew.gini);
+  out += buf;
   for (size_t i = 0; i < snap.per_shard_records.size(); ++i) {
     if (i) out += ", ";
     out += std::to_string(snap.per_shard_records[i]);
@@ -329,66 +304,24 @@ std::string StepProfile::RenderJson() const {
   out += "]}, \"recent\": [";
   for (size_t i = 0; i < snap.recent.size(); ++i) {
     const VersionRecord& r = snap.recent[i];
-    if (i) out += ", ";
-    out += "{\"version\": " + std::to_string(r.version) +
-           ", \"wall_ns\": " + std::to_string(r.wall_ns) + ", \"workers\": [";
+    std::snprintf(buf, sizeof(buf),
+                  "%s{\"version\": %u, \"wall_ns\": %llu, \"workers\": [",
+                  i ? ", " : "", r.version, static_cast<ull>(r.wall_ns));
+    out += buf;
     // Compact per-worker rows for the ring: [busy, exchange, barrier,
     // seal, idle] nanos, in StateName order.
     for (size_t w = 0; w < r.workers.size(); ++w) {
       const WorkerAttribution& a = r.workers[w];
-      if (w) out += ", ";
-      out += "[" + std::to_string(a.busy_ns) + ", " +
-             std::to_string(a.exchange_ns) + ", " +
-             std::to_string(a.barrier_ns) + ", " +
-             std::to_string(a.seal_ns) + ", " + std::to_string(a.idle_ns) +
-             "]";
+      std::snprintf(buf, sizeof(buf), "%s[%llu, %llu, %llu, %llu, %llu]",
+                    w ? ", " : "", static_cast<ull>(a.busy_ns),
+                    static_cast<ull>(a.exchange_ns),
+                    static_cast<ull>(a.barrier_ns),
+                    static_cast<ull>(a.seal_ns), static_cast<ull>(a.idle_ns));
+      out += buf;
     }
     out += "]}";
   }
   out += "]}";
-  return out;
-}
-
-ProfileRegistry& ProfileRegistry::Global() {
-  static ProfileRegistry* registry = new ProfileRegistry();
-  return *registry;
-}
-
-void ProfileRegistry::Register(StepProfile* profile) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  profiles_.push_back(profile);
-}
-
-void ProfileRegistry::Unregister(StepProfile* profile) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  profiles_.erase(std::remove(profiles_.begin(), profiles_.end(), profile),
-                  profiles_.end());
-}
-
-std::string ProfileRegistry::RenderAllJson() const {
-  std::string out = "{\"dataflows\": [";
-  {
-    // Profiles unregister in their destructor under this mutex, so every
-    // pointer rendered here is alive for the duration of the render.
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (size_t i = 0; i < profiles_.size(); ++i) {
-      if (i) out += ", ";
-      out += profiles_[i]->RenderJson();
-    }
-  }
-  out += "], \"skew_sparklines\": {";
-  bool first = true;
-  for (const char* name : {"gs_sched_skew_ratio", "gs_sched_busy_frac"}) {
-    timeseries::Series* series = timeseries::Store::Global().GetSeries(name);
-    if (series == nullptr) continue;
-    if (!first) out += ", ";
-    first = false;
-    out += "\"" + std::string(name) + "\": \"" +
-           introspect::JsonEscape(timeseries::Sparkline(series->Snapshot(),
-                                                        40)) +
-           "\"";
-  }
-  out += "}, \"summary\": " + GlobalSummaryJson() + "}";
   return out;
 }
 
@@ -406,23 +339,30 @@ std::string GlobalSummaryJson() {
       registry.GetGauge("gs_sched_skew_ratio_milli")->Value();
   const int64_t gini_milli =
       registry.GetGauge("gs_sched_skew_gini_milli")->Value();
-  std::string out = "{\"steps\": " + std::to_string(steps) +
-                    ", \"wall_ns\": " + std::to_string(wall) +
-                    ", \"state_nanos\": {";
+  using ull = unsigned long long;
+  char buf[192];
+  std::snprintf(buf, sizeof(buf),
+                "{\"steps\": %llu, \"wall_ns\": %llu, \"state_nanos\": {",
+                static_cast<ull>(steps), static_cast<ull>(wall));
+  std::string out = buf;
   for (size_t s = 0; s < kNumStates; ++s) {
-    if (s) out += ", ";
-    out += "\"" + std::string(StateName(static_cast<State>(s))) +
-           "\": " + std::to_string(state[s]);
+    std::snprintf(buf, sizeof(buf), "%s\"%s\": %llu", s ? ", " : "",
+                  StateName(static_cast<State>(s)),
+                  static_cast<ull>(state[s]));
+    out += buf;
   }
   const double busy_frac =
       active_total > 0
           ? static_cast<double>(state[static_cast<size_t>(State::kBusy)]) /
                 static_cast<double>(active_total)
           : 0.0;
-  out += "}, \"busy_frac\": " + FormatFraction(busy_frac) +
-         ", \"skew\": {\"records_ratio_milli\": " +
-         std::to_string(ratio_milli) +
-         ", \"records_gini_milli\": " + std::to_string(gini_milli) + "}}";
+  std::snprintf(buf, sizeof(buf),
+                "}, \"busy_frac\": %.4f, \"skew\": "
+                "{\"records_ratio_milli\": %lld, "
+                "\"records_gini_milli\": %lld}}",
+                busy_frac, static_cast<long long>(ratio_milli),
+                static_cast<long long>(gini_milli));
+  out += buf;
   return out;
 }
 

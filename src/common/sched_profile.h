@@ -23,15 +23,15 @@
 // operators at join/reduce boundaries) and per-worker scheduler event
 // counts feed two skew figures: max/mean ratio (1.0 = perfectly balanced;
 // the ratio bounds achievable speedup) and the Gini coefficient over
-// shards. Both are published as registry gauges and a time-series, so a
-// slow sharded run and a skewed one are finally distinguishable.
+// shards. Both are published as registry gauges, so a slow sharded run and
+// a skewed one are distinguishable.
 //
 // Thread model: the coordinator (the thread driving Step) calls StepBegin /
 // BlockBegin / BlockEnd / StepEnd; worker w calls AddBusy/AddExchange/
 // AddSeal(w, ...) only inside a block, and only for its own slot. All
 // cross-thread reads are ordered by the pool's barrier. Scrape threads
-// (/workersz) only ever read the mutex-protected snapshot folded at
-// StepEnd, never the live accumulators.
+// (/statusz, through the owning dataflow's source) only ever read the
+// mutex-protected snapshot folded at StepEnd, never the live accumulators.
 #ifndef GRAPHSURGE_COMMON_SCHED_PROFILE_H_
 #define GRAPHSURGE_COMMON_SCHED_PROFILE_H_
 
@@ -103,16 +103,15 @@ struct StepInputs {
   uint64_t exchange_batches = 0;                  // cumulative hub pushes
 };
 
-/// Time attribution for one sharded dataflow. Registered with the global
-/// ProfileRegistry for its lifetime, so /workersz renders every live
-/// dataflow. All methods are cheap (a clock read and a few adds); the only
-/// lock taken on the driver path is snapshot_mutex_, once per step.
+/// Time attribution for one sharded dataflow, rendered under "sched" in
+/// the dataflow's /statusz source. All methods are cheap (a clock read and
+/// a few adds); the only lock taken on the driver path is snapshot_mutex_,
+/// once per step.
 class StepProfile {
  public:
-  /// `name` labels this dataflow in /workersz (match the introspect source
-  /// name, e.g. "dataflow-3").
+  /// `name` is the owning dataflow's /statusz source name, e.g.
+  /// "dataflow-3".
   StepProfile(std::string name, size_t num_workers);
-  ~StepProfile();
 
   StepProfile(const StepProfile&) = delete;
   StepProfile& operator=(const StepProfile&) = delete;
@@ -153,7 +152,6 @@ class StepProfile {
   };
 
   struct Snapshot {
-    std::string name;
     size_t num_workers = 0;
     uint64_t steps = 0;
     uint64_t wall_ns = 0;  // total across completed steps
@@ -168,7 +166,9 @@ class StepProfile {
   /// Copies the snapshot folded at the last StepEnd. Safe from any thread.
   Snapshot GetSnapshot() const;
 
-  /// This profile's /workersz JSON object.
+  /// The "sched" object of the dataflow's /statusz source: lifetime
+  /// per-worker attribution, record and event skew, and the
+  /// recent-version ring.
   std::string RenderJson() const;
 
   static constexpr size_t kRecentVersions = 32;
@@ -200,23 +200,6 @@ class StepProfile {
   Skew record_skew_;
   Skew event_skew_;
   std::deque<VersionRecord> recent_;
-};
-
-/// All live StepProfiles — the /workersz data source.
-class ProfileRegistry {
- public:
-  static ProfileRegistry& Global();
-
-  void Register(StepProfile* profile);
-  void Unregister(StepProfile* profile);
-
-  /// `{"dataflows": [...], "skew_sparklines": {...}, "summary": {...}}` —
-  /// the /workersz body.
-  std::string RenderAllJson() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<StepProfile*> profiles_;
 };
 
 /// Process-lifetime rollup across all profiles (including torn-down ones):

@@ -1,4 +1,5 @@
-// Wall-clock timing utilities used by the adaptive optimizer and benches.
+// Wall-clock timing utilities used by the adaptive optimizer and benches,
+// and the process-relative millisecond clock of the health plane.
 #ifndef GRAPHSURGE_COMMON_TIMER_H_
 #define GRAPHSURGE_COMMON_TIMER_H_
 
@@ -35,6 +36,20 @@ class Timer {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
+
+/// Milliseconds since the first call in the process, on the steady clock,
+/// counted from 1: no reading is 0, which in-progress markers such as
+/// gs_live_epoch_advance_started_ms reserve for "none in flight". The time
+/// base of the watchdog's deadlines, those markers and flight dumps'
+/// uptime_ms; only differences between readings are meaningful.
+inline uint64_t NowMillis() {
+  using Clock = std::chrono::steady_clock;
+  static const Clock::time_point origin = Clock::now();
+  return 1 + static_cast<uint64_t>(
+                 std::chrono::duration_cast<std::chrono::milliseconds>(
+                     Clock::now() - origin)
+                     .count());
+}
 
 }  // namespace gs
 

@@ -10,7 +10,7 @@
 #include "common/crash_dump.h"
 #include "common/introspect.h"
 #include "common/logging.h"
-#include "common/timeseries.h"
+#include "common/timer.h"
 
 namespace gs::watchdog {
 
@@ -25,7 +25,7 @@ const char* const kSloHistograms[] = {
 };
 
 /// Wall-clock milliseconds since the Unix epoch, for dump file names (the
-/// in-process time base, timeseries::NowMillis, is process-relative).
+/// in-process time base, NowMillis, is process-relative).
 uint64_t UnixMillis() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -90,7 +90,7 @@ Watchdog& Watchdog::Global() {
 
 void Watchdog::SyncBaselines() {
   state_.last_rounds = FrontierRounds()->Value();
-  state_.last_progress_ms = timeseries::NowMillis();
+  state_.last_progress_ms = NowMillis();
   state_.fsync_baseline = metrics::BucketSnapshot(*WalFsyncNanos());
   state_.last_lag = MaxGraphEpoch() - LastSealedEpoch()->Value();
   state_.consecutive_lag_increases = 0;
@@ -178,9 +178,11 @@ std::vector<std::string> Watchdog::EvaluateNow() {
       metrics::Registry::Global().GetCounter("gs_watchdog_evaluations");
   static auto* healthy_gauge =
       metrics::Registry::Global().GetGauge("gs_watchdog_healthy");
+  static auto* lag_gauge =
+      metrics::Registry::Global().GetGauge("gs_watchdog_ingest_lag");
 
   std::lock_guard<std::mutex> eval_lock(eval_mutex_);
-  const uint64_t now = timeseries::NowMillis();
+  const uint64_t now = NowMillis();
   std::vector<std::string> violated;
 
   // frontier_stall: outstanding records with a static round counter. Any
@@ -231,9 +233,7 @@ std::vector<std::string> Watchdog::EvaluateNow() {
     violated.push_back("ingest_lag");
   }
 
-  // Derived series the registry does not carry directly.
-  timeseries::Store::Global().Record("gs_watchdog_ingest_lag", now,
-                                     static_cast<double>(lag));
+  lag_gauge->Set(lag);
 
   evaluations->Increment();
   healthy_gauge->Set(violated.empty() ? 1 : 0);
@@ -299,8 +299,9 @@ std::string Watchdog::RenderHealthJson() const {
   out += ", \"last_eval_ms\": " + std::to_string(health.last_eval_ms);
   out += ", \"violated_rules\": [";
   for (size_t i = 0; i < health.violated_rules.size(); ++i) {
-    if (i) out += ", ";
-    out += "\"" + introspect::JsonEscape(health.violated_rules[i]) + "\"";
+    out += i ? ", \"" : "\"";
+    out += introspect::JsonEscape(health.violated_rules[i]);
+    out += '"';
   }
   out += "]";
   if (!health.last_dump_path.empty()) {
@@ -321,7 +322,10 @@ std::string Watchdog::RenderHealthJson() const {
                   metrics::HistogramQuantile(*h, 0.5),
                   metrics::HistogramQuantile(*h, 0.95),
                   metrics::HistogramQuantile(*h, 0.99));
-    out += "\"" + std::string(name) + "\": " + buf;
+    out += '"';
+    out += name;
+    out += "\": ";
+    out += buf;
   }
   out += "}}";
   return out;

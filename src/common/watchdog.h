@@ -1,5 +1,5 @@
 // Stall watchdog: a background thread that evaluates health rules over the
-// live metrics and time-series, flips the process's health state, and emits
+// live metrics registry, flips the process's health state, and emits
 // a flight-recorder dump (crash_dump.h) when a rule starts failing —
 // without killing the process. The /healthz endpoint serves the verdict
 // (200 healthy / 503 naming the violated rules), so an external supervisor
@@ -19,13 +19,15 @@
 //   ingest_lag              gs_graph_epoch (max over graphs) minus the last
 //                           sealed engine epoch has grown on N consecutive
 //                           evaluations while at/above a floor: the engine
-//                           is falling monotonically behind ingest.
+//                           is falling monotonically behind ingest. Each
+//                           evaluation publishes the lag it read as the
+//                           gs_watchdog_ingest_lag gauge.
 //
 // Firing is edge-triggered: one dump + one firing count when a rule flips
 // from passing to failing; the rule must pass again before it can fire
 // again. Dumps are JSON files flight_<unix_ms>_<rule>.json in flight_dir,
-// containing trace events, a metrics snapshot, and the time-series history
-// (see crash_dump.h WriteFlightRecorderFile).
+// containing trace events and a metrics snapshot (see crash_dump.h
+// WriteFlightRecorderFile).
 //
 // Determinism for tests: EvaluateNow() runs one evaluation on the caller's
 // thread, and differential/fuzz_hooks.h can inject a frontier stall or a

@@ -74,8 +74,8 @@ class ExchangeHub {
   int64_t in_flight() const { return in_flight_.load(std::memory_order_seq_cst); }
 
   /// Cumulative cross-worker batches ever pushed through this hub — the
-  /// exchange-traffic figure the scheduling report (/workersz) pairs with
-  /// per-worker exchange-drain time.
+  /// exchange-traffic figure the scheduling report (a dataflow's "sched"
+  /// block in /statusz) pairs with per-worker exchange-drain time.
   uint64_t total_pushed() const {
     return total_pushed_.load(std::memory_order_relaxed);
   }

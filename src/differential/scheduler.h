@@ -73,8 +73,9 @@ class Scheduler {
   uint64_t events_processed() const { return events_processed_; }
 
   /// High-water backlog since the last TakePeakPending — the scheduling
-  /// pressure figure surfaced per worker by /workersz. Reset per step so
-  /// spikes are attributable to a version, not smeared across a run.
+  /// pressure figure surfaced per worker in a dataflow's /statusz "sched"
+  /// block. Reset per step so spikes are attributable to a version, not
+  /// smeared across a run.
   uint64_t TakePeakPending() {
     uint64_t peak = peak_pending_;
     peak_pending_ = heap_.size();

@@ -66,17 +66,17 @@ class ShardedDataflow {
           std::make_unique<Dataflow>(options_, hub_.get(), w));
     }
     // Register with the live-introspection registry so /statusz can render
-    // this dataflow. The producer only copies the mutex-protected snapshot
-    // refreshed at phase barriers, so a scrape never touches operator state.
+    // this dataflow, its time attribution included. The producer only
+    // copies snapshots refreshed at phase barriers and step ends, so a
+    // scrape never touches operator state.
     static std::atomic<uint64_t> next_instance{0};
-    uint64_t instance = next_instance.fetch_add(1, std::memory_order_relaxed);
-    // The time-attribution profile shares the introspect source's name, so
-    // /workersz rows and /statusz sources line up one-to-one.
-    profile_ = std::make_unique<sched::StepProfile>(
-        "dataflow-" + std::to_string(instance), options_.num_workers);
+    std::string name =
+        "dataflow-" +
+        std::to_string(next_instance.fetch_add(1, std::memory_order_relaxed));
+    profile_ =
+        std::make_unique<sched::StepProfile>(name, options_.num_workers);
     introspect_source_ = std::make_unique<introspect::ScopedSource>(
-        "dataflow-" + std::to_string(instance),
-        [this] { return RenderStatusJson(); });
+        std::move(name), [this] { return RenderStatusJson(); });
   }
 
   ShardedDataflow(const ShardedDataflow&) = delete;
@@ -323,10 +323,11 @@ class ShardedDataflow {
 
   /// Renders the current status snapshot as one JSON object: execution
   /// state (version, frontier, rounds, records outstanding), per-operator
-  /// memory/timing attribution, the operator→operator channels, and a
-  /// Graphviz DOT rendering of the worker-0 graph. Safe to call from any
+  /// memory/timing attribution, the operator→operator channels, a Graphviz
+  /// DOT rendering of the worker-0 graph, and under "sched" the per-worker
+  /// time attribution (StepProfile::RenderJson). Safe to call from any
   /// thread at any time — it only reads the snapshot refreshed at phase
-  /// barriers.
+  /// barriers and the profile's snapshot folded at step ends.
   std::string RenderStatusJson() const {
     StatusSnapshot snap;
     {
@@ -390,11 +391,15 @@ class ShardedDataflow {
     }
     out += "], \"channels\": [";
     for (size_t i = 0; i < snap.edges.size(); ++i) {
-      if (i) out += ", ";
-      out += "[" + std::to_string(snap.edges[i].first) + ", " +
-             std::to_string(snap.edges[i].second) + "]";
+      std::snprintf(buf, sizeof(buf), "%s[%u, %u]", i ? ", " : "",
+                    snap.edges[i].first, snap.edges[i].second);
+      out += buf;
     }
-    out += "], \"dot\": \"" + introspect::JsonEscape(RenderDot(snap)) + "\"}";
+    out += "], \"dot\": \"";
+    out += introspect::JsonEscape(RenderDot(snap));
+    out += "\", \"sched\": ";
+    out += profile_->RenderJson();
+    out += "}";
     return out;
   }
 
@@ -473,7 +478,7 @@ class ShardedDataflow {
   StatusSnapshot status_;
   std::unique_ptr<sched::StepProfile> profile_;
   // Declared last: unregisters first on destruction, so no scrape can reach
-  // a partially-destroyed dataflow.
+  // a partially-destroyed dataflow (or profile_, which the render reads).
   std::unique_ptr<introspect::ScopedSource> introspect_source_;
 };
 

@@ -111,7 +111,8 @@ struct Time {
   }
 
   std::string ToString() const {
-    std::string s = "<" + std::to_string(version);
+    std::string s = "<";
+    s += std::to_string(version);
     for (int i = 0; i < depth; ++i) {
       s += ", ";
       s += iters[i] == kIterInfinity ? "inf" : std::to_string(iters[i]);

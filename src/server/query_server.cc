@@ -11,7 +11,10 @@ namespace gs::server {
 namespace {
 
 std::string Quoted(const std::string& s) {
-  return "\"" + introspect::JsonEscape(s) + "\"";
+  std::string out = "\"";
+  out += introspect::JsonEscape(s);
+  out += '"';
+  return out;
 }
 
 HttpResponse JsonOk(std::string body_fields) {
@@ -80,7 +83,10 @@ HttpResponse RenderStatement(const StatementResult& result,
     for (const auto& [vertex, value] : values) {
       if (!first) body += ", ";
       first = false;
-      body += "\"" + std::to_string(vertex) + "\": " + std::to_string(value);
+      body += '"';
+      body += std::to_string(vertex);
+      body += "\": ";
+      body += std::to_string(value);
     }
     body += "}}";
   }

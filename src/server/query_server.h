@@ -31,11 +31,11 @@
 //       POST to any other path answers 404 (405 on a page's path), and
 //       other methods 405, in plain text from the listener.
 //   GET <path>
-//       Every status page (/metrics, /statusz, /healthz, /tracez,
-//       /timeseriez, /workersz), /profilez (the host system's
-//       Graphsurge::Profile(): the last collection run's per-view table
-//       plus the metrics), and /sessionz (this server's session table), so
-//       one scrape target covers serving and engine state. `/` lists them.
+//       Every status page (/healthz, /metrics, /statusz, /tracez),
+//       /profilez (the host system's Graphsurge::Profile(): the last
+//       collection run's per-view table plus the metrics), and /sessionz
+//       (this server's session table), so one scrape target covers serving
+//       and engine state. `/` lists them.
 //
 // Concurrency model: the front end owns no socket or thread. Its routes
 // are registered on a StatusServer of its own (server/status_server.h)

@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -17,8 +18,6 @@
 #include "common/introspect.h"
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/sched_profile.h"
-#include "common/timeseries.h"
 #include "common/trace_event.h"
 #include "common/watchdog.h"
 
@@ -69,24 +68,9 @@ void StatusServer::RegisterBuiltins() {
     r.content_type = "text/plain; version=0.0.4; charset=utf-8";
     return r;
   });
-  Handle("/timeseriez", [] {
-    HttpResponse r;
-    r.body = timeseries::Store::Global().ToJson();
-    r.content_type = "application/json";
-    return r;
-  });
   Handle("/tracez", [] {
     HttpResponse r;
     r.body = trace::ToJsonTail(kTracezEventsPerThread);
-    r.content_type = "application/json";
-    return r;
-  });
-  Handle("/workersz", [] {
-    // The scheduling report: per-worker time attribution (busy / exchange /
-    // barrier / seal / idle), per-shard skew, recent-version breakdowns,
-    // and skew sparklines — one row per live sharded dataflow.
-    HttpResponse r;
-    r.body = sched::ProfileRegistry::Global().RenderAllJson();
     r.content_type = "application/json";
     return r;
   });
@@ -95,21 +79,7 @@ void StatusServer::RegisterBuiltins() {
   critical_path::RegisterStatuszSource();
   Handle("/statusz", [] {
     HttpResponse r;
-    std::string body = "{\n";
-    // Operability warnings that must not be buried inside a source blob.
-    // Today's only rule: the time-series store silently dropping new series
-    // means sparklines/SLO history are incomplete — surface it loudly.
-    const int64_t dropped_series =
-        metrics::Registry::Global()
-            .GetGauge("gs_timeseries_dropped_series")
-            ->Value();
-    if (dropped_series > 0) {
-      body += "  \"warnings\": [\"timeseries store dropped " +
-              std::to_string(dropped_series) +
-              " series (capacity reached); sparklines and SLO history are "
-              "incomplete — reduce series cardinality\"],\n";
-    }
-    body += "  \"sources\": {";
+    std::string body = "{\n  \"sources\": {";
     std::vector<introspect::Rendered> sources =
         introspect::Registry::Global().Collect();
     for (size_t i = 0; i < sources.size(); ++i) {
@@ -196,9 +166,14 @@ Status StatusServer::Start(uint16_t port) {
 void StatusServer::Stop() {
   {
     // Under the queue mutex: a worker between its wait predicate and its
-    // block would otherwise miss the notify_all below.
+    // block would otherwise miss the notify_all below, and no worker can
+    // close a connection of serving_ while it is shut down here.
     std::lock_guard<std::mutex> lock(queue_mutex_);
     if (!running_.exchange(false)) return;
+    // End the read side of every connection being served: a worker blocked
+    // in recv on an idle keep-alive client returns at once, while writes
+    // still go through, so a request being handled gets its response.
+    for (int fd : serving_) ::shutdown(fd, SHUT_RD);
   }
   // Self-pipe: wake the poll() so the accept loop sees running_ == false.
   char byte = 'q';
@@ -274,8 +249,15 @@ void StatusServer::WorkerLoop() {
       if (!running()) return;  // Stop() closes what is still queued
       fd = queue_.front();
       queue_.pop_front();
+      serving_.push_back(fd);
     }
     ServeConnection(fd);
+    {
+      // Out of serving_ before the close, so Stop() never shuts down a
+      // descriptor number that has been reused.
+      std::lock_guard<std::mutex> lock(queue_mutex_);
+      serving_.erase(std::find(serving_.begin(), serving_.end(), fd));
+    }
     ::close(fd);
   }
 }

@@ -32,12 +32,11 @@
 //               violated, 503 with a JSON body naming the violated rules
 //               otherwise (HEAD mirrors the status code)
 //   /metrics    Prometheus exposition text (metrics registry)
-//   /timeseriez sampled metric history (common/timeseries) as JSON
 //   /tracez     newest trace_event spans per thread, Chrome trace JSON
-//   /workersz   per-worker scheduling report of live sharded dataflows
-//   /statusz    every registered introspection source (running dataflows
-//               publish their operator/channel/frontier snapshots here;
-//               the health plane publishes rollups + sparklines)
+//   /statusz    every registered introspection source: each running
+//               dataflow publishes its operator/channel/frontier snapshot
+//               and, under "sched", its per-worker time attribution; the
+//               watchdog publishes its health verdict
 //   /           plain-text index of the registered pages
 // More pages (the api layer's /profilez, the query front end's /sessionz)
 // are registered via Handle(), POST routes via HandlePost(). A POST to a
@@ -86,10 +85,11 @@ class StatusServer {
   /// use).
   Status Start(uint16_t port);
 
-  /// Stops accepting, closes the connections still queued, and joins every
-  /// thread (a connection being served is served until it ends: the client
-  /// closes it, asks for close, or idles past the read timeout).
-  /// Idempotent; the server may be started again.
+  /// Stops accepting, closes the connections still queued, shuts down the
+  /// read side of the connections being served, and joins every thread.
+  /// An idle keep-alive client does not hold Stop() up; a request already
+  /// being handled still gets its response. Idempotent; the server may be
+  /// started again.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -147,11 +147,13 @@ class StatusServer {
   std::thread accept_thread_;
   std::vector<std::thread> workers_;
 
-  /// Accepted connections awaiting a worker. Stop() clears running_ under
-  /// this mutex so no waiting worker misses the wakeup.
+  /// Accepted connections awaiting a worker, and those the workers are
+  /// serving. Stop() clears running_ under this mutex so no waiting worker
+  /// misses the wakeup, and shuts down serving_ under it.
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<int> queue_;
+  std::vector<int> serving_;
 
   mutable std::mutex handlers_mutex_;
   std::map<std::string, Handler> handlers_;

@@ -131,7 +131,7 @@ MaterializedCollection CollectionFromDiffBatches(
     mc.view_sizes.push_back(current_size);
     mc.diff_sizes.push_back(batches[t].size());
     mc.total_diffs += batches[t].size();
-    mc.view_names.push_back("v" + std::to_string(t));
+    mc.view_names.push_back(std::string("v").append(std::to_string(t)));
     mc.order.push_back(t);
   }
   mc.diffs = EdgeDifferenceStream::FromBatches(std::move(batches));

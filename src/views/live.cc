@@ -4,7 +4,6 @@
 
 #include "common/metrics.h"
 #include "common/timer.h"
-#include "common/timeseries.h"
 #include "common/trace_event.h"
 #include "differential/time.h"
 
@@ -78,7 +77,7 @@ namespace {
 class EpochAdvanceScope {
  public:
   EpochAdvanceScope() {
-    StartedGauge()->Set(static_cast<int64_t>(timeseries::NowMillis()));
+    StartedGauge()->Set(static_cast<int64_t>(NowMillis()));
   }
   ~EpochAdvanceScope() {
     LatencyHistogram()->Observe(static_cast<uint64_t>(timer_.Nanos()));

@@ -103,6 +103,13 @@ TEST(TimerTest, MeasuresElapsed) {
   EXPECT_LT(t.Seconds(), 10.0);
 }
 
+TEST(NowMillisTest, MonotonicallyNonDecreasingAndNeverZero) {
+  uint64_t a = NowMillis();
+  uint64_t b = NowMillis();
+  EXPECT_GE(a, 1u);
+  EXPECT_LE(a, b);
+}
+
 // GS_CHECK used as the sole statement of an if branch must not capture a
 // following else (the classic dangling-else macro hazard). With a bare
 // `if (!(cond)) log` expansion the else below would bind to the macro's

@@ -61,7 +61,10 @@ std::string CanonicalResultsBody(const std::string& target,
   for (const auto& [vertex, value] : values) {
     if (!first) body += ", ";
     first = false;
-    body += "\"" + std::to_string(vertex) + "\": " + std::to_string(value);
+    body += '"';
+    body += std::to_string(vertex);
+    body += "\": ";
+    body += std::to_string(value);
   }
   body += "}}]}\n";
   return body;
@@ -384,8 +387,8 @@ TEST_F(QueryServerTest, StatusPagesServedFromSameListener) {
   // The index lists every page the listener serves, this front end's too.
   HttpReply index = HttpGet(server_.port(), "/");
   ASSERT_EQ(index.status_code, 200);
-  for (const char* path : {"/healthz", "/metrics", "/statusz", "/timeseriez",
-                           "/tracez", "/workersz", "/profilez", "/sessionz"}) {
+  for (const char* path : {"/healthz", "/metrics", "/statusz", "/tracez",
+                           "/profilez", "/sessionz"}) {
     EXPECT_NE(index.body.find(std::string("  ") + path + "\n"),
               std::string::npos)
         << path << " missing from:\n" << index.body;
@@ -398,6 +401,12 @@ TEST_F(QueryServerTest, FullQueueAnswers503) {
   QueryServer single(options);
   ASSERT_TRUE(single.Start(0).ok());
   testutil::ExpectFullQueueAnswers503(single.port());
+}
+
+TEST_F(QueryServerTest, StopDoesNotWaitForIdleKeepAliveClient) {
+  QueryServer own;
+  ASSERT_TRUE(own.Start(0).ok());
+  testutil::ExpectPromptStopWithIdleClient(own.port(), [&own] { own.Stop(); });
 }
 
 // --- Concurrency stress -----------------------------------------------------
@@ -416,7 +425,8 @@ TEST_F(QueryServerTest, ConcurrentClientsAcrossSessionsStayIsolated) {
   auto client = [&](int id) {
     for (int s = 0; s < kSessionsPerClient; ++s) {
       const std::string session =
-          "c" + std::to_string(id) + "-" + std::to_string(s);
+          std::string("c").append(std::to_string(id)) + "-" +
+          std::to_string(s);
       // Private view in the session namespace; same name everywhere.
       if (Query(server_.port(), session,
                 "create view V on G edges where weight < " +

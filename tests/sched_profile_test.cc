@@ -1,6 +1,7 @@
 // Scheduler time attribution and critical-path extraction: the five worker
-// states tile each step's wall clock exactly (the /workersz numbers are
-// measurements, not estimates), skewed and balanced workloads are
+// states tile each step's wall clock exactly (the numbers in each
+// dataflow's /statusz "sched" block are measurements, not estimates),
+// skewed and balanced workloads are
 // distinguishable, and the trace-derived critical path covers the wall
 // clock of a serial run.
 #include "common/sched_profile.h"
@@ -71,10 +72,11 @@ dd::DataflowOptions Workers(size_t n) {
 }
 
 // Runs `rounds` Step() rounds of a hash-partitioned ReduceMin over
-// `num_keys` keys and returns the dataflow's profile snapshot.
+// `num_keys` keys and returns the dataflow's profile snapshot; `status_json`
+// receives the dataflow's rendered /statusz source.
 StepProfile::Snapshot RunReduceRounds(size_t num_workers, size_t num_keys,
                                       size_t rounds, size_t records_per_round,
-                                      std::string* all_json = nullptr) {
+                                      std::string* status_json = nullptr) {
   dd::ShardedDataflow sharded(Workers(num_workers));
   std::vector<dd::Input<IntPair>> inputs;
   for (size_t w = 0; w < sharded.num_workers(); ++w) {
@@ -89,10 +91,7 @@ StepProfile::Snapshot RunReduceRounds(size_t num_workers, size_t num_keys,
     }
     EXPECT_TRUE(sharded.Step().ok());
   }
-  if (all_json != nullptr) {
-    // Rendered while the dataflow (and so its profile) is still alive.
-    *all_json = ProfileRegistry::Global().RenderAllJson();
-  }
+  if (status_json != nullptr) *status_json = sharded.RenderStatusJson();
   return sharded.profile().GetSnapshot();
 }
 
@@ -172,7 +171,7 @@ TEST(StepProfileTest, WorkerEventCountsAndExchangeBatchesAreAttributed) {
 
 // Hash-skewed vs balanced: a single hot key lands every record on one
 // shard, so the record-skew ratio approaches W while the balanced run stays
-// near 1 — and /workersz renders the two runs distinguishably.
+// near 1 — and each dataflow's /statusz source renders its skew.
 TEST(StepProfileTest, SkewedDistributionIsDetectedAndRendered) {
   std::string balanced_json;
   StepProfile::Snapshot balanced = RunReduceRounds(
@@ -193,25 +192,21 @@ TEST(StepProfileTest, SkewedDistributionIsDetectedAndRendered) {
   EXPECT_GT(skewed.record_skew.gini, 0.7);
   EXPECT_LT(balanced.record_skew.gini, 0.3);
 
-  // The /workersz body renders both runs with their skew visible: find each
-  // profile by name and compare the records_ratio fields.
-  auto ratio_of = [](const std::string& json, const std::string& name) {
+  // Each run's source renders its skew under "sched": compare the
+  // records_ratio fields.
+  auto ratio_of = [](const std::string& json) {
     json_lite::Value root;
     std::string error;
     EXPECT_TRUE(json_lite::Parse(json, &root, &error)) << error;
-    const json_lite::Value* dataflows = root.Get("dataflows");
-    EXPECT_NE(dataflows, nullptr);
-    for (const json_lite::Value& df : dataflows->array) {
-      if (df.Get("name") != nullptr && df.Get("name")->string == name) {
-        EXPECT_NE(df.Get("skew"), nullptr);
-        return df.Get("skew")->Get("records_ratio")->number;
-      }
+    const json_lite::Value* sched = root.Get("sched");
+    if (sched == nullptr || sched->Get("skew") == nullptr) {
+      ADD_FAILURE() << "no sched.skew in " << json;
+      return 0.0;
     }
-    ADD_FAILURE() << "profile " << name << " not rendered";
-    return 0.0;
+    return sched->Get("skew")->Get("records_ratio")->number;
   };
-  const double balanced_rendered = ratio_of(balanced_json, balanced.name);
-  const double skewed_rendered = ratio_of(skewed_json, skewed.name);
+  const double balanced_rendered = ratio_of(balanced_json);
+  const double skewed_rendered = ratio_of(skewed_json);
   EXPECT_NEAR(balanced_rendered, balanced.record_skew.max_mean_ratio, 0.001);
   EXPECT_NEAR(skewed_rendered, skewed.record_skew.max_mean_ratio, 0.001);
   EXPECT_GE(skewed_rendered, 2.0 * balanced_rendered);

@@ -25,7 +25,6 @@
 #include "api/graphsurge.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "common/timeseries.h"
 #include "common/watchdog.h"
 #include "differential/differential.h"
 #include "graph/generators.h"
@@ -92,9 +91,9 @@ TEST_F(StatusServerTest, JsonEndpointsParse) {
   }
 }
 
-TEST_F(StatusServerTest, WorkerszServesSchedulingReport) {
-  // Keep a sharded dataflow alive across the scrape so it renders under
-  // "dataflows" with real attribution.
+TEST_F(StatusServerTest, StatuszServesSchedulingReport) {
+  // Keep a sharded dataflow alive across the scrape so its source renders
+  // real attribution under "sched".
   differential::DataflowOptions options;
   options.num_workers = 3;
   differential::ShardedDataflow sharded(options);
@@ -109,69 +108,43 @@ TEST_F(StatusServerTest, WorkerszServesSchedulingReport) {
   }
   ASSERT_TRUE(sharded.Step().ok());
 
-  HttpReply reply = HttpGet(server_.port(), "/workersz");
+  HttpReply reply = HttpGet(server_.port(), "/statusz");
   ASSERT_EQ(reply.status_code, 200);
   EXPECT_NE(reply.raw.find("application/json"), std::string::npos);
   json_lite::Value doc = ParseJsonOrFail(reply.body);
-  const json_lite::Value* dataflows = doc.Get("dataflows");
-  ASSERT_NE(dataflows, nullptr);
-  ASSERT_TRUE(dataflows->is_array());
-  bool found = false;
-  for (const json_lite::Value& df : dataflows->array) {
-    if (df.Get("name") == nullptr ||
-        df.Get("name")->string != sharded.profile().name()) {
-      continue;
-    }
-    found = true;
-    EXPECT_EQ(df.Get("workers")->number, 3);
-    const json_lite::Value* attribution = df.Get("attribution");
-    ASSERT_NE(attribution, nullptr);
-    ASSERT_EQ(attribution->array.size(), 3u);
-    for (const json_lite::Value& worker : attribution->array) {
-      // The five exclusive states tile the worker's accounted time.
-      const double sum = worker.Get("busy_ns")->number +
-                         worker.Get("exchange_ns")->number +
-                         worker.Get("barrier_ns")->number +
-                         worker.Get("seal_ns")->number +
-                         worker.Get("idle_ns")->number;
-      EXPECT_DOUBLE_EQ(sum, worker.Get("total_ns")->number);
-      EXPECT_GT(worker.Get("total_ns")->number, 0.0);
-    }
-    EXPECT_NE(df.Get("skew"), nullptr);
+  const json_lite::Value* sources = doc.Get("sources");
+  ASSERT_NE(sources, nullptr);
+  const json_lite::Value* df = sources->Get(sharded.profile().name());
+  ASSERT_NE(df, nullptr) << reply.body;
+  EXPECT_EQ(df->Get("workers")->number, 3);
+  const json_lite::Value* sched = df->Get("sched");
+  ASSERT_NE(sched, nullptr);
+  EXPECT_GE(sched->Get("steps")->number, 1);
+  const json_lite::Value* attribution = sched->Get("attribution");
+  ASSERT_NE(attribution, nullptr);
+  ASSERT_EQ(attribution->array.size(), 3u);
+  for (const json_lite::Value& worker : attribution->array) {
+    // The five exclusive states tile the worker's accounted time.
+    const double sum = worker.Get("busy_ns")->number +
+                       worker.Get("exchange_ns")->number +
+                       worker.Get("barrier_ns")->number +
+                       worker.Get("seal_ns")->number +
+                       worker.Get("idle_ns")->number;
+    EXPECT_DOUBLE_EQ(sum, worker.Get("total_ns")->number);
+    EXPECT_GT(worker.Get("total_ns")->number, 0.0);
   }
-  EXPECT_TRUE(found) << reply.body;
-  const json_lite::Value* summary = doc.Get("summary");
-  ASSERT_NE(summary, nullptr);
-  EXPECT_GE(summary->Get("steps")->number, 1);
-}
-
-TEST_F(StatusServerTest, StatuszWarnsWhenTimeseriesDropsSeries) {
-  metrics::Gauge* dropped = metrics::Registry::Global().GetGauge(
-      "gs_timeseries_dropped_series");
-  dropped->Set(2);
-  HttpReply reply = HttpGet(server_.port(), "/statusz");
-  ASSERT_EQ(reply.status_code, 200);
-  json_lite::Value doc = ParseJsonOrFail(reply.body);
-  const json_lite::Value* warnings = doc.Get("warnings");
-  ASSERT_NE(warnings, nullptr) << reply.body;
-  ASSERT_FALSE(warnings->array.empty());
-  EXPECT_NE(warnings->array[0].string.find("dropped 2 series"),
-            std::string::npos)
-      << warnings->array[0].string;
-
-  // With the gauge back at zero the banner disappears.
-  dropped->Set(0);
-  json_lite::Value clean =
-      ParseJsonOrFail(HttpGet(server_.port(), "/statusz").body);
-  EXPECT_EQ(clean.Get("warnings"), nullptr);
+  EXPECT_NE(sched->Get("skew"), nullptr);
 }
 
 TEST_F(StatusServerTest, IndexListsRegisteredPaths) {
   HttpReply reply = HttpGet(server_.port(), "/");
   EXPECT_EQ(reply.status_code, 200);
-  EXPECT_NE(reply.body.find("/healthz"), std::string::npos);
-  EXPECT_NE(reply.body.find("/metrics"), std::string::npos);
-  EXPECT_NE(reply.body.find("/statusz"), std::string::npos);
+  EXPECT_EQ(reply.body,
+            "graphsurge status server\n\nendpoints:\n"
+            "  /healthz\n  /metrics\n  /statusz\n  /tracez\n");
+  // /statusz carries what these pages served.
+  EXPECT_EQ(HttpGet(server_.port(), "/workersz").status_code, 404);
+  EXPECT_EQ(HttpGet(server_.port(), "/timeseriez").status_code, 404);
 }
 
 TEST_F(StatusServerTest, UnknownPathIs404) {
@@ -211,6 +184,11 @@ TEST_F(StatusServerTest, PostRoutesAndMethodRules) {
 TEST_F(StatusServerTest, FullQueueAnswers503) {
   // The fixture's server runs the default single worker.
   testutil::ExpectFullQueueAnswers503(server_.port());
+}
+
+TEST_F(StatusServerTest, StopDoesNotWaitForIdleKeepAliveClient) {
+  testutil::ExpectPromptStopWithIdleClient(server_.port(),
+                                           [this] { server_.Stop(); });
 }
 
 TEST_F(StatusServerTest, MalformedRequestIs400) {
@@ -262,18 +240,6 @@ TEST_F(StatusServerTest, CustomHandlerAndReplacement) {
     return r;
   });
   EXPECT_EQ(HttpGet(server_.port(), "/custom").body, "v2");
-}
-
-TEST_F(StatusServerTest, TimeseriezServesStoreJson) {
-  timeseries::Store::Global().Record("gs_server_test_series",
-                                     timeseries::NowMillis(), 3.0);
-  HttpReply reply = HttpGet(server_.port(), "/timeseriez");
-  EXPECT_EQ(reply.status_code, 200);
-  EXPECT_NE(reply.raw.find("application/json"), std::string::npos);
-  json_lite::Value doc = ParseJsonOrFail(reply.body);
-  const json_lite::Value* series = doc.Get("series");
-  ASSERT_NE(series, nullptr);
-  EXPECT_NE(series->Get("gs_server_test_series"), nullptr);
 }
 
 TEST_F(StatusServerTest, UnhealthyHealthzIs503WithConsistentHead) {

@@ -199,7 +199,8 @@ PropertyGraph RandomGraph(Rng& rng, size_t num_nodes, size_t num_edges) {
                                 "prefix88a", "prefix88b",  "prefix88ab",
                                 ""};
   auto cell = [&](PropertyValue v) {
-    return rng.Bernoulli(0.15) ? PropertyValue::Null() : std::move(v);
+    if (rng.Bernoulli(0.15)) v = PropertyValue::Null();
+    return v;
   };
   for (size_t i = 0; i < num_nodes; ++i) {
     EXPECT_TRUE(np.AppendRow({cell(PropertyValue(cities[rng.Index(7)])),
@@ -319,7 +320,9 @@ TEST(BatchEvalTest, EbmComputeMasksTombstonedEdges) {
   PropertyGraph g = RandomGraph(rng, 32, 300);
   // Tombstone a random fifth of the edges.
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (rng.Bernoulli(0.2)) EXPECT_TRUE(g.RemoveEdge(e).ok());
+    if (rng.Bernoulli(0.2)) {
+      EXPECT_TRUE(g.RemoveEdge(e).ok());
+    }
   }
   std::vector<std::string> texts;
   std::vector<gvdl::ExprPtr> exprs;

@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -233,6 +234,22 @@ inline std::vector<HttpReply> HttpPipeline(
   return replies;
 }
 
+/// Sends GET /healthz on the open connection `fd` without asking for close
+/// and reads exactly one response: afterwards the server's worker waits on
+/// `fd` for the next request.
+inline HttpReply KeepAliveHealthz(int fd) {
+  SendAll(fd, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+  std::string stream;
+  HttpReply reply;
+  char buf[4096];
+  while (!PopHttpReply(&stream, &reply)) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    stream.append(buf, static_cast<size_t>(n));
+  }
+  return reply;
+}
+
 /// HTTP/1.1 conformance expectations shared by every listener built on
 /// server/http.h (status server and query server): pipelining, body
 /// framing rejections, and malformed-input handling must behave
@@ -307,15 +324,7 @@ inline void ExpectFullQueueAnswers503(uint16_t port) {
   // connection for the next request.
   const int pinned = HttpConnect(port);
   ASSERT_GE(pinned, 0);
-  SendAll(pinned, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
-  std::string stream;
-  HttpReply first;
-  char buf[4096];
-  while (!PopHttpReply(&stream, &first)) {
-    const ssize_t n = ::recv(pinned, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    stream.append(buf, static_cast<size_t>(n));
-  }
+  const HttpReply first = KeepAliveHealthz(pinned);
   EXPECT_EQ(first.status_code, 200);
   EXPECT_NE(first.raw.find("Connection: keep-alive"), std::string::npos);
 
@@ -352,6 +361,30 @@ inline void ExpectFullQueueAnswers503(uint16_t port) {
   }
   EXPECT_EQ(healthy.status_code, 200);
   EXPECT_EQ(healthy.body, "ok\n");
+}
+
+/// The shutdown contract of server/status_server.h. `port` must serve
+/// /healthz and keep the default 5000 ms read timeout. After one answered
+/// request, the client leaves its keep-alive connection open and idle;
+/// `stop` (the server's Stop()) must still return in under a second, not
+/// wait out the read timeout, and the client must see the connection end.
+inline void ExpectPromptStopWithIdleClient(uint16_t port,
+                                           const std::function<void()>& stop) {
+  const int idle = HttpConnect(port);
+  ASSERT_GE(idle, 0);
+  const HttpReply first = KeepAliveHealthz(idle);
+  EXPECT_EQ(first.status_code, 200);
+  EXPECT_NE(first.raw.find("Connection: keep-alive"), std::string::npos);
+
+  const auto start = std::chrono::steady_clock::now();
+  stop();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::seconds(1))
+      << "Stop() took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()
+      << " ms with an idle keep-alive client";
+  EXPECT_EQ(RecvToEof(idle), "");
+  ::close(idle);
 }
 
 }  // namespace gs::testutil

@@ -2,7 +2,7 @@
 // rule is driven deterministically (fuzz-hook stall injection for the
 // engine-level rules, direct metric manipulation for the unit-level ones),
 // /healthz flips to 503 naming the violated rule, and the flight-recorder
-// dump parses and carries trace events + metrics + time-series history.
+// dump parses and carries trace events + a metrics snapshot.
 #include "common/watchdog.h"
 
 #include <arpa/inet.h>
@@ -24,7 +24,7 @@
 #include "api/graphsurge.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "common/timeseries.h"
+#include "common/timer.h"
 #include "differential/differential.h"
 #include "differential/fuzz_hooks.h"
 #include "graph/generators.h"
@@ -95,8 +95,9 @@ void StartAndAwaitFirstEvaluation(watchdog::Watchdog* dog,
 }
 
 /// Asserts the invariants of one flight-recorder document: the reason names
-/// the firing rule, the violated-rule list carries it, and the trace /
-/// metrics / time-series sections are all present and well-formed.
+/// the firing rule, the violated-rule list carries it, and the trace and
+/// metrics sections are present and well-formed, the metrics carrying the
+/// lag gauge the watchdog publishes before it fires.
 void ExpectFlightDumpWellFormed(const std::string& path,
                                 const std::string& rule) {
   json_lite::Value doc = ParseJsonOrFail(ReadFileOrFail(path));
@@ -115,26 +116,24 @@ void ExpectFlightDumpWellFormed(const std::string& path,
   const json_lite::Value* metrics_section = doc.Get("metrics");
   ASSERT_NE(metrics_section, nullptr);
   EXPECT_NE(metrics_section->Get("counters"), nullptr);
-  const json_lite::Value* ts = doc.Get("timeseries");
-  ASSERT_NE(ts, nullptr);
-  EXPECT_NE(ts->Get("series"), nullptr);
+  const json_lite::Value* gauges = metrics_section->Get("gauges");
+  ASSERT_NE(gauges, nullptr);
+  EXPECT_NE(gauges->Get("gs_watchdog_ingest_lag"), nullptr);
   const json_lite::Value* build = doc.Get("build");
   ASSERT_NE(build, nullptr);
   EXPECT_NE(build->Get("git_sha"), nullptr);
 }
 
-// The issue's healthy-path acceptance criterion: with hooks off, a full
-// 10-view run at W=4 under an active sampler + watchdog (default deadlines)
-// records zero firings, and /timeseriez serves sampled history throughout.
-// Declared first so it runs before any rule-firing test touches the global
-// firing counters and gauges.
+// The healthy path: with hooks off, a full 10-view run at W=4 under an
+// active watchdog (default deadlines) records zero firings. Declared first
+// so it runs before any rule-firing test touches the global firing counters
+// and gauges.
 TEST(WatchdogHealthyTest, FullTenViewRunRecordsZeroFirings) {
   ASSERT_FALSE(differential::fuzz::GlobalHooks().any());
   metrics::Counter* firings =
       metrics::Registry::Global().GetCounter("gs_watchdog_firings");
   const uint64_t firings_before = firings->Value();
 
-  ASSERT_TRUE(timeseries::Sampler::Global().Start(10).ok());
   watchdog::WatchdogOptions options;  // default (production) deadlines
   options.cadence_ms = 20;
   options.flight_dir = ::testing::TempDir();
@@ -152,7 +151,7 @@ TEST(WatchdogHealthyTest, FullTenViewRunRecordsZeroFirings) {
   std::vector<std::string> names;
   std::vector<std::function<bool(EdgeId)>> predicates;
   for (int v = 0; v < 10; ++v) {
-    names.push_back("v" + std::to_string(v));
+    names.push_back(std::string("v").append(std::to_string(v)));
     predicates.push_back([v](EdgeId e) {
       return static_cast<int>(e % 12) <= v + 2;
     });
@@ -171,24 +170,7 @@ TEST(WatchdogHealthyTest, FullTenViewRunRecordsZeroFirings) {
   EXPECT_TRUE(watchdog::Watchdog::Global().Health().healthy);
   EXPECT_EQ(firings->Value(), firings_before);
 
-  // The sampler has been following the run; /timeseriez must parse and
-  // carry at least one series with samples.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  HttpReply series_reply = HttpGet(port, "/timeseriez");
-  EXPECT_EQ(series_reply.status_code, 200);
-  json_lite::Value doc = ParseJsonOrFail(series_reply.body);
-  const json_lite::Value* sampler_state = doc.Get("sampler");
-  ASSERT_NE(sampler_state, nullptr);
-  EXPECT_TRUE(sampler_state->Get("running")->boolean);
-  const json_lite::Value* series = doc.Get("series");
-  ASSERT_NE(series, nullptr);
-  EXPECT_FALSE(series->object.empty());
-  const json_lite::Value* requests = series->Get("gs_status_server_requests");
-  ASSERT_NE(requests, nullptr);
-  EXPECT_GE(requests->Get("count")->number, 1.0);
-
   watchdog::Watchdog::Global().Stop();
-  timeseries::Sampler::Global().Stop();
   EXPECT_EQ(firings->Value(), firings_before);
 }
 
@@ -203,7 +185,7 @@ TEST(WatchdogRuleTest, EpochAdvanceDeadlineFiresAndDumps) {
 
   metrics::Gauge* started = metrics::Registry::Global().GetGauge(
       "gs_live_epoch_advance_started_ms");
-  started->Set(static_cast<int64_t>(timeseries::NowMillis()));
+  started->Set(static_cast<int64_t>(NowMillis()));
   // Fresh advance: still within deadline.
   EXPECT_FALSE(Contains(dog.EvaluateNow(), "epoch_advance_deadline"));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -291,11 +273,14 @@ TEST(WatchdogRuleTest, IngestLagMonotoneGrowthFires) {
   // Lag flat: the streak resets and the rule clears.
   EXPECT_FALSE(Contains(dog.EvaluateNow(), "ingest_lag"));
 
-  // The watchdog records the derived lag series for /timeseriez.
-  timeseries::Series* lag_series =
-      timeseries::Store::Global().GetSeries("gs_watchdog_ingest_lag");
-  ASSERT_NE(lag_series, nullptr);
-  EXPECT_GE(lag_series->Stats().count, 4u);
+  // Each evaluation publishes the lag it read as a registry gauge.
+  const int64_t sealed = metrics::Registry::Global()
+                             .GetGauge("gs_engine_last_sealed_epoch")
+                             ->Value();
+  EXPECT_EQ(metrics::Registry::Global()
+                .GetGauge("gs_watchdog_ingest_lag")
+                ->Value(),
+            1003 - sealed);
 
   lag_epoch->Set(0);
   dog.Stop();
