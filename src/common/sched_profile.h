@@ -19,12 +19,12 @@
 // for scheduling decisions: "worker 3 spends 40% of wall in barrier-wait"
 // is a measurement, not an estimate.
 //
-// Per-shard record counts (DataflowStats::shard_work, maintained by keyed
-// operators at join/reduce boundaries) and per-worker scheduler event
-// counts feed two skew figures: max/mean ratio (1.0 = perfectly balanced;
-// the ratio bounds achievable speedup) and the Gini coefficient over
-// shards. Both are published as registry gauges, so a slow sharded run and
-// a skewed one are distinguishable.
+// Per-shard record counts (each worker's DataflowStats::shard_records,
+// maintained by keyed operators at join/reduce boundaries) and per-worker
+// scheduler event counts feed two skew figures: max/mean ratio (1.0 =
+// perfectly balanced; the ratio bounds achievable speedup) and the Gini
+// coefficient over shards. Both are published as registry gauges, so a
+// slow sharded run and a skewed one are distinguishable.
 //
 // Thread model: the coordinator (the thread driving Step) calls StepBegin /
 // BlockBegin / BlockEnd / StepEnd; worker w calls AddBusy/AddExchange/
@@ -99,7 +99,7 @@ Skew ComputeSkew(const std::vector<uint64_t>& per_shard);
 struct StepInputs {
   std::vector<uint64_t> per_worker_events;        // cumulative per worker
   std::vector<uint64_t> per_worker_peak_pending;  // high-water this step
-  std::vector<uint64_t> per_shard_records;        // cumulative shard_work
+  std::vector<uint64_t> per_shard_records;        // cumulative per worker
   uint64_t exchange_batches = 0;                  // cumulative hub pushes
 };
 

@@ -274,25 +274,6 @@ std::string RenderJson(const std::vector<Event>& events) {
 
 std::string ToJson() { return RenderJson(CollectEvents(0)); }
 
-std::vector<CollectedEvent> CollectStructured() {
-  std::vector<Event> events = CollectEvents(0);
-  std::vector<CollectedEvent> out;
-  out.reserve(events.size());
-  for (const Event& e : events) {
-    CollectedEvent c;
-    c.ts_ns = e.ts_ns;
-    c.dur_ns = e.dur_ns;
-    c.value = e.value;
-    c.tid = e.tid;
-    c.phase = e.phase;
-    c.version = e.version;
-    c.category = e.category;
-    c.name = e.name;
-    out.push_back(std::move(c));
-  }
-  return out;
-}
-
 std::string ToJsonTail(size_t max_events_per_thread) {
   return RenderJson(CollectEvents(max_events_per_thread));
 }

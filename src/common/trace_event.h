@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 
@@ -82,24 +81,6 @@ std::string ToJsonTail(size_t max_events_per_thread);
 
 /// Writes ToJson() to `path`.
 Status WriteJson(const std::string& path);
-
-/// One buffered event in structured form, for in-process analysis (the
-/// critical-path extractor in critical_path.h, tests). Exactly the data
-/// ToJson renders; strings are copied out of the ring buffers.
-struct CollectedEvent {
-  uint64_t ts_ns = 0;
-  uint64_t dur_ns = 0;   // 'X' spans only
-  int64_t value = 0;     // 'C' counters only
-  int32_t tid = 0;       // worker id, or 1000+index for non-worker threads
-  char phase = 'X';      // 'X' span, 'i' instant, 'C' counter
-  uint32_t version = kNoVersion;
-  std::string category;
-  std::string name;
-};
-
-/// Snapshot of every buffered event across all threads, oldest-first per
-/// thread. Safe while recording continues (same locking as ToJson).
-std::vector<CollectedEvent> CollectStructured();
 
 /// Drops all buffered events (tests).
 void ClearForTest();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -97,6 +98,10 @@ void Watchdog::SyncBaselines() {
 }
 
 Status Watchdog::Start(const WatchdogOptions& options) {
+  if (options.ingest_lag_increases < 1) {
+    return Status::InvalidArgument(
+        "watchdog ingest_lag_increases must be at least 1");
+  }
   {
     std::lock_guard<std::mutex> thread_lock(thread_mutex_);
     if (running_) return Status::InvalidArgument("watchdog already running");
@@ -333,23 +338,26 @@ std::string Watchdog::RenderHealthJson() const {
 
 namespace {
 
-/// Parses `env_name` as a non-negative decimal integer into `*out`.
-/// Unparsable values keep `*out` and warn once per variable per process —
-/// a misconfigured deployment should not spam a log line per evaluation.
-void ApplyEnvThreshold(const char* env_name, uint64_t* out) {
+/// Parses `env_name` as a decimal integer in [min, max] into `*out`.
+/// Unparsable or out-of-range values keep `*out` and warn once per variable
+/// per process — a misconfigured deployment should not spam a log line per
+/// evaluation.
+void ApplyEnvThreshold(const char* env_name, uint64_t* out,
+                       uint64_t min = 0, uint64_t max = UINT64_MAX) {
   const char* value = std::getenv(env_name);
   if (value == nullptr || *value == '\0') return;
   char* end = nullptr;
   errno = 0;
   unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE || value[0] == '-') {
+  if (end == value || *end != '\0' || errno == ERANGE || value[0] == '-' ||
+      parsed < min || parsed > max) {
     static std::mutex warned_mutex;
     static std::set<std::string>* warned = new std::set<std::string>();
     std::lock_guard<std::mutex> lock(warned_mutex);
     if (warned->insert(env_name).second) {
       GS_LOG(Warning) << "ignoring invalid " << env_name << "=\"" << value
-                      << "\" (want a non-negative integer); keeping default "
-                      << *out;
+                      << "\" (want an integer in [" << min << ", " << max
+                      << "]); keeping default " << *out;
     }
     return;
   }
@@ -367,8 +375,11 @@ void Watchdog::ApplyEnvOverrides(WatchdogOptions* options) {
                     &options->wal_fsync_p99_ns);
   ApplyEnvThreshold("GRAPHSURGE_WATCHDOG_INGEST_LAG_MIN",
                     &options->ingest_lag_min);
+  // A streak of zero increases would fire on every evaluation, and values
+  // above INT_MAX would wrap in the int option.
   uint64_t increases = static_cast<uint64_t>(options->ingest_lag_increases);
-  ApplyEnvThreshold("GRAPHSURGE_WATCHDOG_INGEST_LAG_INCREASES", &increases);
+  ApplyEnvThreshold("GRAPHSURGE_WATCHDOG_INGEST_LAG_INCREASES", &increases,
+                    1, INT_MAX);
   options->ingest_lag_increases = static_cast<int>(increases);
 }
 

@@ -67,7 +67,8 @@ struct WatchdogOptions {
   uint64_t wal_fsync_p99_ns = 1000000000;
 
   /// ingest_lag: floor below which lag growth is ignored, and how many
-  /// consecutive strictly-increasing evaluations at/above the floor fire.
+  /// consecutive strictly-increasing evaluations at/above the floor fire
+  /// (at least 1; Start rejects less).
   uint64_t ingest_lag_min = 4;
   int ingest_lag_increases = 3;
 
@@ -102,7 +103,8 @@ class Watchdog {
 
   /// Starts the evaluation thread. Baselines (round counter, fsync bucket
   /// window, lag) are synced to current values first, so pre-existing
-  /// metric state cannot fire spuriously. Fails if already running.
+  /// metric state cannot fire spuriously. Fails if already running or if
+  /// options.ingest_lag_increases < 1.
   Status Start(const WatchdogOptions& options = WatchdogOptions());
 
   /// Stops and joins the thread, and clears the violated-rule set (the
@@ -136,10 +138,12 @@ class Watchdog {
   ///   GRAPHSURGE_WATCHDOG_WAL_FSYNC_P99_NS
   ///   GRAPHSURGE_WATCHDOG_INGEST_LAG_MIN
   ///   GRAPHSURGE_WATCHDOG_INGEST_LAG_INCREASES
-  /// Each must be a non-negative decimal integer; an unparsable value keeps
-  /// the default and logs one warning per variable per process (not one per
-  /// evaluation). Called by MaybeStartFromEnv; exposed so embedders that
-  /// Start() with explicit options can opt in too.
+  /// Each must be a non-negative decimal integer, and
+  /// GRAPHSURGE_WATCHDOG_INGEST_LAG_INCREASES one in [1, INT_MAX]; an
+  /// unparsable or out-of-range value keeps the default and logs one warning
+  /// per variable per process (not one per evaluation). Called by
+  /// MaybeStartFromEnv; exposed so embedders that Start() with explicit
+  /// options can opt in too.
   static void ApplyEnvOverrides(WatchdogOptions* options);
 
  private:

@@ -33,7 +33,6 @@
 #include <map>
 #include <utility>
 
-#include "common/hash.h"
 #include "differential/arrcache.h"
 #include "differential/dataflow.h"
 #include "differential/exchange.h"
@@ -224,23 +223,21 @@ class JoinStreamArrangedOp : public OperatorBase {
     // ArrangeOp ran first) — each (δl, δr) pair contributes exactly once.
     for (const auto& u : right_batch) {
       const K& key = u.data.first;
-      const uint64_t key_hash = HashValue(key);
       left_.ForEach(key, [&](const V1& value, const Time& entry_time,
                              Diff entry_diff) {
         dataflow_->stats().join_matches++;
-        dataflow_->stats().AddShardWork(key_hash, 1);
+        dataflow_->stats().shard_records++;
         out[time.Lub(entry_time)].push_back(Update<Out>{
             fn_(key, value, u.data.second), entry_diff * u.diff});
       });
     }
     for (const auto& u : left_batch) {
       const K& key = u.data.first;
-      const uint64_t key_hash = HashValue(key);
       dataflow_->stats().arrangement_probes++;
       right_trace_->ForEach(key, [&](const V2& value, const Time& entry_time,
                                      Diff entry_diff) {
         dataflow_->stats().join_matches++;
-        dataflow_->stats().AddShardWork(key_hash, 1);
+        dataflow_->stats().shard_records++;
         out[time.Lub(entry_time)].push_back(Update<Out>{
             fn_(key, u.data.second, value), u.diff * entry_diff});
       });
@@ -305,24 +302,22 @@ class JoinArrangedArrangedOp : public OperatorBase {
     OutBuckets out;
     for (const auto& u : left_batch) {
       const K& key = u.data.first;
-      const uint64_t key_hash = HashValue(key);
       dataflow_->stats().arrangement_probes++;
       right_trace_->ForEach(key, [&](const V2& value, const Time& entry_time,
                                      Diff entry_diff) {
         dataflow_->stats().join_matches++;
-        dataflow_->stats().AddShardWork(key_hash, 1);
+        dataflow_->stats().shard_records++;
         out[time.Lub(entry_time)].push_back(Update<Out>{
             fn_(key, u.data.second, value), u.diff * entry_diff});
       });
     }
     for (const auto& u : right_batch) {
       const K& key = u.data.first;
-      const uint64_t key_hash = HashValue(key);
       dataflow_->stats().arrangement_probes++;
       left_trace_->ForEach(key, [&](const V1& value, const Time& entry_time,
                                     Diff entry_diff) {
         dataflow_->stats().join_matches++;
-        dataflow_->stats().AddShardWork(key_hash, 1);
+        dataflow_->stats().shard_records++;
         out[time.Lub(entry_time)].push_back(Update<Out>{
             fn_(key, value, u.data.second), entry_diff * u.diff});
       });

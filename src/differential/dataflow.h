@@ -51,8 +51,7 @@ struct DataflowOptions {
   /// and traces; keyed operators (join/reduce) hash-partition their input
   /// across shards through exchange queues, mirroring Timely worker
   /// parallelism in-process. 1 = serial. A standalone Dataflow constructed
-  /// directly never shards — there num_workers only sizes the modeled
-  /// `shard_work` accounting.
+  /// directly never shards and does not read num_workers.
   size_t num_workers = 1;
   /// Safety cap on events processed within one version (divergence guard).
   /// In sharded mode the cap applies per worker shard.
@@ -69,8 +68,7 @@ struct DataflowOptions {
 };
 
 /// Aggregate counters. `updates_published` is the engine's measure of work
-/// performed; the scalability bench derives modeled critical-path time from
-/// the per-shard breakdown kept by keyed operators.
+/// performed.
 ///
 /// Thread model: each worker shard owns a private DataflowStats and updates
 /// it without synchronization; cross-worker aggregation happens only through
@@ -122,19 +120,11 @@ struct DataflowStats {
   /// NormalizeOpName), so merging shards never conflates distinct shards'
   /// entries.
   std::map<std::string, uint64_t> op_nanos;
-  /// Work attributed to each key shard (hash(key) % num_workers) by keyed
-  /// operators. The scalability bench derives the modeled critical-path
-  /// time of a W-worker run as max(shard_work) / mean(shard_work). In
-  /// sharded execution worker w only ever touches keys it owns, so its
-  /// shard_work is non-zero only at index w and Merge reassembles the
-  /// per-shard breakdown.
-  std::vector<uint64_t> shard_work;
-
-  void AddShardWork(uint64_t key_hash, uint64_t amount) {
-    if (!shard_work.empty()) {
-      shard_work[key_hash % shard_work.size()] += amount;
-    }
-  }
+  /// Records processed by this dataflow's keyed operators: one per join
+  /// match, plus the input and output sizes of each reduce evaluation that
+  /// emits. A worker shard touches only the keys it owns, so per worker this
+  /// is its shard's record count (StepInputs::per_shard_records).
+  uint64_t shard_records = 0;
 
   /// Folds another stats object into this one (element-wise sums). op_nanos
   /// keys are summed verbatim: worker shards record under distinct
@@ -157,14 +147,9 @@ struct DataflowStats {
     queued_update_bytes += other.queued_update_bytes;
     trace_spine_merges += other.trace_spine_merges;
     trace_compactions += other.trace_compactions;
+    shard_records += other.shard_records;
     for (const auto& [name, nanos] : other.op_nanos) {
       op_nanos[name] += nanos;
-    }
-    if (shard_work.size() < other.shard_work.size()) {
-      shard_work.resize(other.shard_work.size(), 0);
-    }
-    for (size_t i = 0; i < other.shard_work.size(); ++i) {
-      shard_work[i] += other.shard_work[i];
     }
   }
 
@@ -423,15 +408,11 @@ class Stream {
 class Dataflow {
  public:
   explicit Dataflow(DataflowOptions options = DataflowOptions())
-      : options_(options) {
-    stats_.shard_work.assign(options_.num_workers, 0);
-  }
+      : options_(options) {}
 
   /// Worker-shard constructor, used by ShardedDataflow only.
   Dataflow(DataflowOptions options, ExchangeHub* hub, size_t worker_index)
-      : options_(options), hub_(hub), worker_index_(worker_index) {
-    stats_.shard_work.assign(options_.num_workers, 0);
-  }
+      : options_(options), hub_(hub), worker_index_(worker_index) {}
 
   Dataflow(const Dataflow&) = delete;
   Dataflow& operator=(const Dataflow&) = delete;
@@ -569,9 +550,6 @@ class Dataflow {
 
   /// Phase 1: flush input buffers at the current version (OnStepBegin).
   void BeginStepPhase() {
-    // The flush span makes input publication visible to the critical-path
-    // extractor (critical_path.h): at W == 1 the op/flush/seal spans
-    // together cover essentially the whole step.
     GS_TRACE_SPAN_V("engine", "flush", version_);
     step_start_events_ = scheduler_.events_processed();
     for (OperatorBase* op : registered_) {

@@ -70,11 +70,10 @@ class JoinOp : public OperatorBase {
     // concurrent left batch — each (δl, δr) pair contributes exactly once.
     for (const auto& u : left_batch) {
       const K& key = u.data.first;
-      const uint64_t key_hash = HashValue(key);
       right_.ForEach(key, [&](const V2& value, const Time& entry_time,
                               Diff entry_diff) {
         dataflow_->stats().join_matches++;
-        dataflow_->stats().AddShardWork(key_hash, 1);
+        dataflow_->stats().shard_records++;
         out[time.Lub(entry_time)].push_back(Update<Out>{
             fn_(key, u.data.second, value), u.diff * entry_diff});
       });
@@ -82,11 +81,10 @@ class JoinOp : public OperatorBase {
     }
     for (const auto& u : right_batch) {
       const K& key = u.data.first;
-      const uint64_t key_hash = HashValue(key);
       left_.ForEach(key, [&](const V1& value, const Time& entry_time,
                              Diff entry_diff) {
         dataflow_->stats().join_matches++;
-        dataflow_->stats().AddShardWork(key_hash, 1);
+        dataflow_->stats().shard_records++;
         out[time.Lub(entry_time)].push_back(Update<Out>{
             fn_(key, value, u.data.second), entry_diff * u.diff});
       });

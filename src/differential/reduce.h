@@ -695,8 +695,7 @@ class ReduceOp : public OperatorBase {
       }
     }
     if (delta.empty()) return;
-    dataflow_->stats().AddShardWork(HashValue(key),
-                                    AccSize(state.acc) + delta.size());
+    dataflow_->stats().shard_records += AccSize(state.acc) + delta.size();
     for (const Update<Out>& d : delta) {
       if (output_traced_ || kShadowTraces) {
         output_trace_.Insert(key, d.data, time, d.diff);
@@ -781,8 +780,7 @@ class ReduceOp : public OperatorBase {
       }
     }
     if (delta.empty()) return;
-    dataflow_->stats().AddShardWork(HashValue(key),
-                                    in_u.size() + delta.size());
+    dataflow_->stats().shard_records += in_u.size() + delta.size();
     for (const Update<Out>& d : delta) {
       output_trace_.Insert(key, d.data, time, d.diff);
       out->push_back(Update<std::pair<K, Out>>{{key, d.data}, d.diff});

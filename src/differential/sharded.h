@@ -310,8 +310,8 @@ class ShardedDataflow {
     return total;
   }
 
-  /// Per-shard events processed so far — the measured (not modeled) work
-  /// distribution; max/mean over shards bounds achievable speedup.
+  /// Per-shard events processed so far; max/mean over shards bounds
+  /// achievable speedup.
   std::vector<uint64_t> PerWorkerEvents() const {
     std::vector<uint64_t> events;
     events.reserve(workers_.size());
@@ -456,15 +456,11 @@ class ShardedDataflow {
     sched::StepInputs inputs;
     inputs.per_worker_events = PerWorkerEvents();
     inputs.per_worker_peak_pending.reserve(workers_.size());
-    inputs.per_shard_records.assign(workers_.size(), 0);
+    inputs.per_shard_records.reserve(workers_.size());
     for (auto& worker : workers_) {
       inputs.per_worker_peak_pending.push_back(
           worker->scheduler().TakePeakPending());
-      const std::vector<uint64_t>& work = worker->stats().shard_work;
-      for (size_t s = 0; s < work.size() && s < inputs.per_shard_records.size();
-           ++s) {
-        inputs.per_shard_records[s] += work[s];
-      }
+      inputs.per_shard_records.push_back(worker->stats().shard_records);
     }
     inputs.exchange_batches = hub_->total_pushed();
     return inputs;

@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/critical_path.h"
 #include "common/introspect.h"
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -74,9 +73,6 @@ void StatusServer::RegisterBuiltins() {
     r.content_type = "application/json";
     return r;
   });
-  // The critical-path report rides along /statusz as an introspect source
-  // (it renders {"enabled": false} until tracing is turned on).
-  critical_path::RegisterStatuszSource();
   Handle("/statusz", [] {
     HttpResponse r;
     std::string body = "{\n  \"sources\": {";

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
-#include "gvdl/predicate.h"
 #include "ordering/optimizer.h"
 
 namespace gs::views {
@@ -214,8 +213,10 @@ Status UpdateCollectionForMutations(MaterializedCollection* mc,
 StatusOr<PropertyGraph> MaterializeFilteredView(
     const PropertyGraph& graph, const gvdl::ExprPtr& predicate,
     ThreadPool* pool) {
-  GS_ASSIGN_OR_RETURN(gvdl::CompiledEdgePredicate compiled,
-                      gvdl::CompiledEdgePredicate::Compile(predicate, graph));
+  // The same batch evaluator as collection members; tombstoned edges are
+  // masked out of the one-column matrix.
+  GS_ASSIGN_OR_RETURN(EdgeBooleanMatrix selected,
+                      EdgeBooleanMatrix::Compute(graph, {predicate}, pool));
   PropertyGraph view;
   view.AddNodes(graph.num_nodes());
   // Copy node property schema + rows.
@@ -238,7 +239,7 @@ StatusOr<PropertyGraph> MaterializeFilteredView(
         et.column_name(c), et.column(c).type()));
   }
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    if (!graph.edge_alive(e) || !compiled.Evaluate(e)) continue;
+    if (!selected.Get(e, 0)) continue;
     GS_RETURN_IF_ERROR(view.AddEdge(graph.edge(e).src, graph.edge(e).dst)
                            .status());
     if (et.num_columns() > 0) {

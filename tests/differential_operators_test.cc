@@ -204,22 +204,6 @@ TEST(OperatorTest, InspectObservesWithoutPerturbing) {
   EXPECT_TRUE(ToMap(cap->AccumulatedAt(1)).empty());
 }
 
-TEST(OperatorTest, ShardWorkIsAccounted) {
-  DataflowOptions options;
-  options.num_workers = 4;
-  Dataflow df(options);
-  Input<IntPair> in(&df);
-  Capture(ReduceMin(in.stream()));
-  for (int64_t k = 0; k < 100; ++k) in.Send({k, k}, 1);
-  ASSERT_TRUE(df.Step().ok());
-  uint64_t total = 0;
-  ASSERT_EQ(df.stats().shard_work.size(), 4u);
-  for (uint64_t w : df.stats().shard_work) total += w;
-  EXPECT_GT(total, 0u);
-  // Hashing spreads 100 keys across all four shards.
-  for (uint64_t w : df.stats().shard_work) EXPECT_GT(w, 0u);
-}
-
 TEST(OperatorTest, IterateWithMultipleEnteredCollections) {
   // A loop body joining two outer collections (weights and edges).
   Dataflow df;

@@ -298,10 +298,16 @@ TEST(ShardedTest, StatsAreMergedPerWorker) {
   DataflowStats stats = sharded.dataflow().AggregatedStats();
   EXPECT_GT(stats.updates_published, 0u);
   EXPECT_GT(stats.reduce_evaluations, 0u);
-  ASSERT_EQ(stats.shard_work.size(), 4u);
-  // Sharded keyed operators only touch owned keys, so the merged breakdown
-  // covers all four shards.
-  for (uint64_t w : stats.shard_work) EXPECT_GT(w, 0u);
+  // 200 keys hash-partition over all four workers, so every worker's keyed
+  // operators process records, and the aggregate is their sum.
+  uint64_t shard_records_sum = 0;
+  for (size_t w = 0; w < 4; ++w) {
+    const uint64_t records =
+        sharded.dataflow().worker(w)->stats().shard_records;
+    EXPECT_GT(records, 0u) << "worker " << w;
+    shard_records_sum += records;
+  }
+  EXPECT_EQ(stats.shard_records, shard_records_sum);
   std::vector<uint64_t> events = sharded.dataflow().PerWorkerEvents();
   ASSERT_EQ(events.size(), 4u);
   for (uint64_t e : events) EXPECT_GT(e, 0u);

@@ -1,9 +1,7 @@
-// Scheduler time attribution and critical-path extraction: the five worker
-// states tile each step's wall clock exactly (the numbers in each
-// dataflow's /statusz "sched" block are measurements, not estimates),
-// skewed and balanced workloads are
-// distinguishable, and the trace-derived critical path covers the wall
-// clock of a serial run.
+// Scheduler time attribution: the five worker states tile each step's wall
+// clock exactly (the numbers in each dataflow's /statusz "sched" block are
+// measurements, not estimates), and skewed and balanced workloads are
+// distinguishable.
 #include "common/sched_profile.h"
 
 #include <gtest/gtest.h>
@@ -13,14 +11,8 @@
 #include <utility>
 #include <vector>
 
-#include "algorithms/algorithms.h"
-#include "common/critical_path.h"
-#include "common/trace_event.h"
 #include "differential/differential.h"
-#include "graph/generators.h"
-#include "gvdl/parser.h"
 #include "json_lite.h"
-#include "views/executor.h"
 
 namespace gs::sched {
 namespace {
@@ -226,130 +218,6 @@ TEST(StepProfileTest, GlobalSummaryIsWellFormedAndCounting) {
   }
   ASSERT_NE(root.Get("busy_frac"), nullptr);
   EXPECT_GT(root.Get("busy_frac")->number, 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Critical-path extraction
-
-trace::CollectedEvent Span(const char* category, const char* name,
-                           uint64_t ts_ns, uint64_t dur_ns, uint32_t version) {
-  trace::CollectedEvent e;
-  e.phase = 'X';
-  e.category = category;
-  e.name = name;
-  e.ts_ns = ts_ns;
-  e.dur_ns = dur_ns;
-  e.version = version;
-  return e;
-}
-
-TEST(CriticalPathTest, EmptyTraceIsDisabled) {
-  critical_path::Report report = critical_path::Extract({});
-  EXPECT_FALSE(report.enabled);
-  EXPECT_EQ(critical_path::ToJson(report), "{\"enabled\": false}");
-}
-
-TEST(CriticalPathTest, PicksLongestNonOverlappingChainAndStalls) {
-  // Wall = the step span [0, 100). Ops: A [10, 40), B [50, 90), and C
-  // [15, 25) overlapping A. The longest dependent chain is A → B (70 ns);
-  // the stalls are the 10 ns lead-in before A and the 10 ns gap before B.
-  std::vector<trace::CollectedEvent> events;
-  events.push_back(Span("engine", "step", 0, 100, 7));
-  events.push_back(Span("op", "join", 10, 30, 7));
-  events.push_back(Span("op", "reduce", 50, 40, 7));
-  events.push_back(Span("op", "map", 15, 10, 7));
-  critical_path::Report report = critical_path::Extract(events);
-  ASSERT_TRUE(report.enabled);
-  ASSERT_EQ(report.versions.size(), 1u);
-  const critical_path::VersionReport& vr = report.versions[0];
-  EXPECT_EQ(vr.version, 7u);
-  EXPECT_EQ(vr.wall_ns, 100u);
-  EXPECT_EQ(vr.path_ns, 70u);
-  EXPECT_DOUBLE_EQ(vr.path_fraction, 0.7);
-  ASSERT_EQ(vr.path.size(), 2u);
-  EXPECT_EQ(vr.path[0].name, "join");
-  EXPECT_EQ(vr.path[1].name, "reduce");
-  ASSERT_EQ(vr.top_stalls.size(), 2u);
-  EXPECT_EQ(vr.top_stalls[0].gap_ns, 10u);
-  EXPECT_EQ(vr.top_stalls[1].gap_ns, 10u);
-}
-
-TEST(CriticalPathTest, StepSpanIsNeverAChainCandidate) {
-  // Only the step span at this version: wall is known but no candidate
-  // spans exist, so the path is empty rather than trivially 100%.
-  std::vector<trace::CollectedEvent> events;
-  events.push_back(Span("engine", "step", 0, 100, 3));
-  critical_path::Report report = critical_path::Extract(events);
-  ASSERT_TRUE(report.enabled);
-  EXPECT_TRUE(report.versions.empty());
-  EXPECT_EQ(report.total_path_ns, 0u);
-}
-
-TEST(CriticalPathTest, VersionlessAndNonSpanEventsAreIgnored) {
-  std::vector<trace::CollectedEvent> events;
-  events.push_back(Span("op", "join", 0, 50, trace::kNoVersion));
-  trace::CollectedEvent counter = Span("op", "c", 0, 0, 1);
-  counter.phase = 'C';
-  events.push_back(counter);
-  critical_path::Report report = critical_path::Extract(events);
-  EXPECT_TRUE(report.versions.empty());
-}
-
-// Acceptance: with one worker and tracing on, the extracted critical path
-// covers at least 80% of the measured step wall clock across a 10-view
-// collection analytics run (serial execution has essentially no
-// coordination gaps — the path should be nearly all of the wall).
-TEST(CriticalPathTest, PathCoversWallClockOnSerialCollectionRun) {
-  trace::SetEnabled(false);
-  trace::ClearForTest();
-
-  TemporalGraphOptions graph_opts;
-  graph_opts.num_nodes = 300;
-  graph_opts.num_edges = 3000;
-  graph_opts.end_time = 1000;
-  PropertyGraph graph = GenerateTemporalGraph(graph_opts);
-  std::string stmt_text = "create view collection w on G ";
-  const size_t kViews = 10;
-  for (size_t i = 0; i < kViews; ++i) {
-    if (i) stmt_text += ", ";
-    stmt_text += "[w" + std::to_string(i) +
-                 ": timestamp <= " + std::to_string(1000 * (i + 1) / kViews) +
-                 "]";
-  }
-  auto stmt = gvdl::Parse(stmt_text);
-  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
-  auto collection = views::MaterializeCollection(
-      graph, std::get<gvdl::ViewCollectionDef>(*stmt),
-      views::MaterializeOptions());
-  ASSERT_TRUE(collection.ok()) << collection.status().ToString();
-
-  trace::SetEnabled(true);
-  analytics::Wcc wcc;
-  views::ExecutionOptions opts;
-  opts.strategy = splitting::Strategy::kDiffOnly;
-  opts.dataflow.num_workers = 1;
-  auto result = views::RunOnCollection(wcc, graph, *collection, opts);
-  trace::SetEnabled(false);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-  critical_path::Report report = critical_path::ExtractFromLiveTrace();
-  trace::ClearForTest();
-  ASSERT_TRUE(report.enabled);
-  EXPECT_GE(report.versions.size(), kViews);
-  ASSERT_GT(report.total_wall_ns, 0u);
-  EXPECT_GE(report.path_fraction, 0.8)
-      << "critical path covers only " << report.path_fraction * 100
-      << "% of wall";
-  for (const critical_path::VersionReport& vr : report.versions) {
-    EXPECT_LE(vr.path_ns, vr.wall_ns) << "version " << vr.version;
-  }
-
-  // The report renders as valid JSON (the /statusz "critical_path" source).
-  json_lite::Value root;
-  std::string error;
-  ASSERT_TRUE(json_lite::Parse(critical_path::ToJson(report), &root, &error))
-      << error;
-  EXPECT_NE(root.Get("versions"), nullptr);
 }
 
 }  // namespace

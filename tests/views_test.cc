@@ -199,5 +199,67 @@ TEST(CollectionTest, MaterializeFilteredViewSubgraph) {
   }
 }
 
+// A filtered view selects edges with the collections' batch evaluator; it
+// must keep exactly the live edges the scalar reference selects, NULL cells
+// and tombstones included, and reject what the reference rejects.
+TEST(CollectionTest, FilteredViewMatchesScalarReferenceOnNullsAndTombstones) {
+  PropertyGraph g;
+  ASSERT_TRUE(
+      g.node_properties().AddColumn("city", PropertyType::kString).ok());
+  ASSERT_TRUE(g.edge_properties().AddColumn("year", PropertyType::kInt).ok());
+  const size_t kNodes = 20;
+  g.AddNodes(kNodes);
+  for (size_t v = 0; v < kNodes; ++v) {
+    // Every fifth city is NULL.
+    PropertyValue city = v % 5 == 0 ? PropertyValue()
+                                    : PropertyValue(v % 2 ? "LA" : "NY");
+    ASSERT_TRUE(g.node_properties().AppendRow({city}).ok());
+  }
+  Rng rng(7);
+  const size_t kEdges = 200;  // several 64-edge words, so the pool splits
+  for (size_t i = 0; i < kEdges; ++i) {
+    auto e = g.AddEdge(static_cast<VertexId>(rng.Index(kNodes)),
+                       static_cast<VertexId>(rng.Index(kNodes)));
+    ASSERT_TRUE(e.ok());
+    // Every third year is NULL.
+    const int64_t year_value = 2010 + static_cast<int64_t>(i % 12);
+    PropertyValue year =
+        i % 3 == 0 ? PropertyValue() : PropertyValue(year_value);
+    ASSERT_TRUE(g.edge_properties().AppendRow({year}).ok());
+  }
+  ASSERT_TRUE(g.RemoveEdge(4).ok());
+  ASSERT_TRUE(g.RemoveEdge(130).ok());
+
+  ThreadPool pool(2);
+  for (const char* text : {"year >= 2015", "src.city = dst.city",
+                           "not year = 2019",
+                           "year < 2013 or src.city = 'LA'"}) {
+    auto view = MaterializeFilteredView(g, Pred(text), &pool);
+    ASSERT_TRUE(view.ok()) << text << ": " << view.status().ToString();
+    auto scalar = gvdl::CompiledEdgePredicate::Compile(Pred(text), g);
+    ASSERT_TRUE(scalar.ok()) << text;
+    std::vector<EdgeId> want;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (g.edge_alive(e) && scalar->Evaluate(e)) want.push_back(e);
+    }
+    ASSERT_EQ(view->num_edges(), want.size()) << text;
+    for (EdgeId e = 0; e < view->num_edges(); ++e) {
+      const EdgeId base = want[e];
+      EXPECT_EQ(view->edge(e).src, g.edge(base).src) << text;
+      EXPECT_EQ(view->edge(e).dst, g.edge(base).dst) << text;
+      // ToString: PropertyValue's == is false for two NULLs.
+      EXPECT_EQ(view->edge_properties().Get(e, 0).ToString(),
+                g.edge_properties().Get(base, 0).ToString())
+          << text;
+    }
+  }
+
+  auto view = MaterializeFilteredView(g, Pred("nosuch > 1"), &pool);
+  auto scalar = gvdl::CompiledEdgePredicate::Compile(Pred("nosuch > 1"), g);
+  ASSERT_FALSE(view.ok());
+  ASSERT_FALSE(scalar.ok());
+  EXPECT_EQ(view.status().ToString(), scalar.status().ToString());
+}
+
 }  // namespace
 }  // namespace gs::views

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -499,6 +500,15 @@ TEST(WatchdogEnvOverrideTest, InvalidValuesKeepDefaults) {
     watchdog::Watchdog::ApplyEnvOverrides(&options);
     EXPECT_EQ(options.ingest_lag_min, defaults.ingest_lag_min);
   }
+  // Outside [1, INT_MAX]: zero would fire ingest_lag on every evaluation,
+  // and 2^31 and 2^32 would wrap to INT_MIN and 0 in the int option.
+  for (const char* value : {"0", "2147483648", "4294967296"}) {
+    ScopedEnv bad("GRAPHSURGE_WATCHDOG_INGEST_LAG_INCREASES", value);
+    watchdog::WatchdogOptions options;
+    watchdog::Watchdog::ApplyEnvOverrides(&options);
+    EXPECT_EQ(options.ingest_lag_increases, defaults.ingest_lag_increases)
+        << value;
+  }
 }
 
 TEST(WatchdogEnvOverrideTest, UnsetVariablesLeaveOptionsUntouched) {
@@ -509,6 +519,18 @@ TEST(WatchdogEnvOverrideTest, UnsetVariablesLeaveOptionsUntouched) {
   watchdog::Watchdog::ApplyEnvOverrides(&options);
   EXPECT_EQ(options.frontier_stall_ms, 42u);
   EXPECT_EQ(options.ingest_lag_increases, 11);
+}
+
+TEST(WatchdogStartTest, RejectsIngestLagIncreasesBelowOne) {
+  for (int increases : {0, -1, INT_MIN}) {
+    watchdog::Watchdog dog;
+    watchdog::WatchdogOptions options;
+    options.ingest_lag_increases = increases;
+    options.write_flight_dumps = false;
+    Status status = dog.Start(options);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << increases;
+    EXPECT_FALSE(dog.running()) << increases;
+  }
 }
 
 }  // namespace
