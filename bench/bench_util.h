@@ -20,7 +20,6 @@
 #include "common/random.h"
 #include "common/sched_profile.h"
 #include "common/timer.h"
-#include "common/watchdog.h"
 #include "graph/generators.h"
 #include "server/status_server.h"
 
@@ -84,12 +83,8 @@ class BenchReport {
   explicit BenchReport(std::string name) : name_(std::move(name)) {
     // Every bench binary is scrapeable: GRAPHSURGE_STATUS_PORT starts the
     // embedded status server even in harnesses that drive the engine
-    // directly without constructing an api::Graphsurge. The watchdog rides
-    // along the same way (GRAPHSURGE_WATCHDOG), which doubles as its
-    // overhead gate: the --compare regression check runs with it active at
-    // its default cadence.
+    // directly without constructing an api::Graphsurge.
     server::StatusServer::MaybeStartFromEnv();
-    watchdog::Watchdog::MaybeStartFromEnv();
   }
 
   /// A single result row; fields keep insertion order.

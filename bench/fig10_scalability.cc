@@ -11,13 +11,39 @@
 //   measured  — wall time of the W-worker run;
 //   speedup   — measured T(1) / T(W);
 //   skew      — max(events_w) / mean(events_w) over the per-shard scheduler
-//               event counts of the same run, the load-balance loss.
+//               event counts of the same run, the load-balance loss;
+//   busy, exch, barrier, seal, idle
+//             — each scheduler state's share of the run's worker time: the
+//               deltas of gs_sched_state_nanos{state, worker} across the
+//               run, summed over the W workers (sched_profile.h).
 // The sweep stops at W = 4: with more worker threads than cores the threads
 // timeshare, and the wall time measures the OS scheduler, not the engine.
+#include <array>
+#include <iterator>
+
 #include "bench_util.h"
 
 namespace gs::bench {
 namespace {
+
+constexpr const char* kStates[] = {"busy", "exchange", "barrier", "seal",
+                                   "idle"};
+constexpr size_t kNumStates = std::size(kStates);
+
+/// gs_sched_state_nanos{state, worker} per state, summed over `workers`.
+std::array<uint64_t, kNumStates> StateNanos(size_t workers) {
+  std::array<uint64_t, kNumStates> out{};
+  for (size_t s = 0; s < kNumStates; ++s) {
+    for (size_t w = 0; w < workers; ++w) {
+      out[s] += metrics::Registry::Global()
+                    .GetCounter("gs_sched_state_nanos",
+                                {{"state", kStates[s]},
+                                 {"worker", std::to_string(w)}})
+                    ->Value();
+    }
+  }
+  return out;
+}
 
 void Run(BenchReport* report) {
   SocialNetworkOptions sopts;
@@ -53,8 +79,10 @@ void Run(BenchReport* report) {
       .Int("edges", sopts.num_edges)
       .Int("views", (*mc)->num_views())
       .Int("total_diffs", (*mc)->total_diffs);
-  const std::vector<int> widths = {10, 9, 11, 10, 10};
-  PrintRow({"algo", "workers", "measured", "speedup", "skew"}, widths);
+  const std::vector<int> widths = {10, 9, 11, 10, 8, 9};
+  PrintRow({"algo", "workers", "measured", "speedup", "skew", "busy", "exch",
+            "barrier", "seal", "idle"},
+           widths);
 
   struct Algo {
     const char* name;
@@ -71,10 +99,19 @@ void Run(BenchReport* report) {
       views::ExecutionOptions options;
       options.strategy = splitting::Strategy::kDiffOnly;
       options.dataflow.num_workers = workers;
+      const auto states_before = StateNanos(workers);
       Timer timer;
       auto result = system.RunComputation(*algo.computation, "geo", options);
       GS_CHECK(result.ok()) << result.status().ToString();
       double measured = timer.Seconds();
+      const auto states_after = StateNanos(workers);
+      std::array<double, kNumStates> state_s{};
+      double worker_s = 0;
+      for (size_t s = 0; s < kNumStates; ++s) {
+        state_s[s] = static_cast<double>(states_after[s] - states_before[s]) /
+                     1e9;
+        worker_s += state_s[s];
+      }
       if (workers == 1) t1 = measured;
 
       const auto& events = result->per_worker_events;
@@ -89,15 +126,25 @@ void Run(BenchReport* report) {
                                      static_cast<double>(total);
       char skew_buf[16];
       std::snprintf(skew_buf, sizeof(skew_buf), "%.2f", skew);
-      PrintRow({algo.name, std::to_string(workers), Secs(measured),
-                Factor(t1, measured), skew_buf},
-               widths);
-      report->AddRow()
-          .Str("algo", algo.name)
-          .Int("workers", workers)
-          .Num("measured_s", measured)
-          .Num("skew", skew)
-          .Int("join_matches", result->engine_stats.join_matches);
+      std::vector<std::string> cells = {algo.name, std::to_string(workers),
+                                        Secs(measured), Factor(t1, measured),
+                                        skew_buf};
+      BenchReport::Row& row = report->AddRow()
+                                  .Str("algo", algo.name)
+                                  .Int("workers", workers)
+                                  .Num("measured_s", measured)
+                                  .Num("skew", skew)
+                                  .Int("join_matches",
+                                       result->engine_stats.join_matches)
+                                  .Num("worker_s", worker_s);
+      for (size_t s = 0; s < kNumStates; ++s) {
+        const double share = worker_s > 0 ? state_s[s] / worker_s : 0;
+        char share_buf[16];
+        std::snprintf(share_buf, sizeof(share_buf), "%.2f", share);
+        cells.push_back(share_buf);
+        row.Num(std::string(kStates[s]) + "_frac", share);
+      }
+      PrintRow(cells, widths);
     }
   }
 }

@@ -351,10 +351,6 @@ void RunIngestWorkload(bench::BenchReport* report) {
   views::LiveRunOptions lopts;
   lopts.weight_column = -1;
   lopts.dataflow.num_workers = 1;
-  // Small frequent batches: a full-spine rewrite every epoch would cost
-  // O(total state) per batch; lean on the amortized per-version compaction
-  // and only fully compact every 8th epoch.
-  lopts.full_compaction_period = 1;
   auto live = views::LiveRun::Start(wcc, graph, &mc, lopts);
   GS_CHECK(live.ok()) << live.status().ToString();
 

@@ -15,7 +15,6 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/timer.h"
-#include "common/watchdog.h"
 #include "server/status_server.h"
 
 namespace gs {
@@ -155,9 +154,6 @@ Graphsurge::Graphsurge(GraphsurgeOptions options)
   // sanitizer runtimes, which install their own handlers first).
   InstallCrashHandlers();
   server::StatusServer::MaybeStartFromEnv();
-  // The watchdog is opt-in the same way the status server is, on
-  // GRAPHSURGE_WATCHDOG.
-  watchdog::Watchdog::MaybeStartFromEnv();
   {
     std::lock_guard<std::mutex> lock(g_profilez_mutex);
     g_profilez_system = this;

@@ -11,11 +11,6 @@
 #ifndef GRAPHSURGE_COMMON_CRASH_DUMP_H_
 #define GRAPHSURGE_COMMON_CRASH_DUMP_H_
 
-#include <string>
-#include <vector>
-
-#include "common/status.h"
-
 namespace gs {
 
 /// Flushes the flight recorder: writes the trace buffers to the path named
@@ -29,21 +24,6 @@ void DumpFlightRecorder(const char* reason);
 /// unchanged). Idempotent; never overwrites handlers installed by sanitizer
 /// runtimes (it chains by resetting to SIG_DFL only for its own signals).
 void InstallCrashHandlers();
-
-/// Renders one flight-recorder document as JSON: the reason and violated
-/// rules (the watchdog's, empty for crashes), wall-clock and process-uptime
-/// timestamps, build attribution, the newest trace events per thread, and
-/// the full metrics snapshot. This is the payload of watchdog flight dumps;
-/// unlike DumpFlightRecorder it has no one-shot guard and does not kill or
-/// alter tracing state — the process keeps running.
-std::string RenderFlightRecorderJson(const char* reason,
-                                     const std::vector<std::string>& rules);
-
-/// RenderFlightRecorderJson written atomically-enough to `path` (single
-/// open/write/close; dumps are diagnostic artifacts, torn only if the
-/// process dies mid-dump).
-Status WriteFlightRecorderFile(const std::string& path, const char* reason,
-                               const std::vector<std::string>& rules);
 
 }  // namespace gs
 

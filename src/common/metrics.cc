@@ -216,61 +216,6 @@ std::string Registry::JsonSnapshot() const {
   return out;
 }
 
-void Registry::VisitScalars(
-    const std::function<void(const std::string& key, double value,
-                             bool is_counter)>& fn) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [key, counter] : counters_) {
-    fn(key, static_cast<double>(counter->Value()), true);
-  }
-  for (const auto& [key, gauge] : gauges_) {
-    fn(key, static_cast<double>(gauge->Value()), false);
-  }
-}
-
-std::array<uint64_t, Histogram::kNumBuckets> BucketSnapshot(
-    const Histogram& histogram) {
-  std::array<uint64_t, Histogram::kNumBuckets> buckets{};
-  for (size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-    buckets[i] = histogram.BucketCount(i);
-  }
-  return buckets;
-}
-
-double QuantileFromBuckets(
-    const std::array<uint64_t, Histogram::kNumBuckets>& buckets, double q) {
-  uint64_t total = 0;
-  for (uint64_t count : buckets) total += count;
-  if (total == 0) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const double target = q * static_cast<double>(total);
-  uint64_t cumulative = 0;
-  for (size_t b = 0; b < Histogram::kNumBuckets; ++b) {
-    if (buckets[b] == 0) continue;
-    const uint64_t previous = cumulative;
-    cumulative += buckets[b];
-    if (static_cast<double>(cumulative) < target) continue;
-    const double lower =
-        b == 0 ? 0.0
-               : static_cast<double>(Histogram::BucketUpperBound(b - 1));
-    // +Inf bucket: no finite upper bound to interpolate toward.
-    if (b + 1 == Histogram::kNumBuckets) return lower;
-    const double upper = static_cast<double>(Histogram::BucketUpperBound(b));
-    double fraction =
-        (target - static_cast<double>(previous)) /
-        static_cast<double>(buckets[b]);
-    if (fraction < 0.0) fraction = 0.0;
-    if (fraction > 1.0) fraction = 1.0;
-    return lower + fraction * (upper - lower);
-  }
-  return 0.0;  // unreachable: total > 0 means some bucket crossed target
-}
-
-double HistogramQuantile(const Histogram& histogram, double q) {
-  return QuantileFromBuckets(BucketSnapshot(histogram), q);
-}
-
 const Registry::Labels& BuildInfoLabels() {
   static const Registry::Labels* labels = [] {
     auto* l = new Registry::Labels();

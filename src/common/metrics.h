@@ -23,7 +23,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -174,41 +173,12 @@ class Registry {
   /// Series key as used in exposition: `name` or `name{k="v",...}`.
   static std::string MakeKey(const std::string& name, const Labels& labels);
 
-  /// Invokes `fn(key, value, is_counter)` for every counter and gauge
-  /// series (counters first). Runs under the registry mutex — keep `fn`
-  /// cheap, and never call back into Get* from it. The watchdog reads the
-  /// per-graph gs_graph_epoch gauges through it.
-  void VisitScalars(
-      const std::function<void(const std::string& key, double value,
-                               bool is_counter)>& fn) const;
-
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
-
-/// Cross-shard-merged bucket counts of `histogram` — one consistent-enough
-/// snapshot for quantile estimation or delta windows between two scrapes.
-std::array<uint64_t, Histogram::kNumBuckets> BucketSnapshot(
-    const Histogram& histogram);
-
-/// Estimated quantile (q ∈ [0, 1]) over explicit log2-bucket counts,
-/// Prometheus histogram_quantile semantics: the rank q·count is located in
-/// its bucket and linearly interpolated between the bucket's bounds
-/// (bucket 0 interpolates up from 0). Consequences worth knowing:
-///   - empty buckets → 0;
-///   - an observation exactly on a bucket's upper bound is returned exactly
-///     at q = its cumulative rank (fraction 1.0 lands on the bound);
-///   - q = 0 returns the lower bound of the first non-empty bucket;
-///   - ranks in the +Inf bucket clamp to its lower bound (2^62).
-double QuantileFromBuckets(
-    const std::array<uint64_t, Histogram::kNumBuckets>& buckets, double q);
-
-/// QuantileFromBuckets over a live histogram's current counts — the p50/
-/// p95/p99 rendering used by the health plane's SLO surfaces.
-double HistogramQuantile(const Histogram& histogram, double q);
 
 /// Labels identifying this build — git_sha (configure-time) and compiler —
 /// attached to the gs_build_info gauge that Registry::Global() registers

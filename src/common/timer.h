@@ -1,5 +1,5 @@
 // Wall-clock timing utilities used by the adaptive optimizer and benches,
-// and the process-relative millisecond clock of the health plane.
+// and the process-relative millisecond clock of in-progress markers.
 #ifndef GRAPHSURGE_COMMON_TIMER_H_
 #define GRAPHSURGE_COMMON_TIMER_H_
 
@@ -39,9 +39,8 @@ class Timer {
 
 /// Milliseconds since the first call in the process, on the steady clock,
 /// counted from 1: no reading is 0, which in-progress markers such as
-/// gs_live_epoch_advance_started_ms reserve for "none in flight". The time
-/// base of the watchdog's deadlines, those markers and flight dumps'
-/// uptime_ms; only differences between readings are meaningful.
+/// gs_live_epoch_advance_started_ms reserve for "none in flight". Only
+/// differences between readings are meaningful.
 inline uint64_t NowMillis() {
   using Clock = std::chrono::steady_clock;
   static const Clock::time_point origin = Clock::now();

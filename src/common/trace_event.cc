@@ -85,11 +85,15 @@ class ThreadBuffer {
 };
 
 /// Global list of all thread buffers ever created. Leaked so the atexit
-/// dump installed by GRAPHSURGE_TRACE can still read it; buffers outlive
-/// their threads (the recorded events remain dumpable).
+/// dump installed by GRAPHSURGE_TRACE can still read it. A buffer outlives
+/// its thread (the recorded events remain dumpable) and waits in `unowned`
+/// until the next new recording thread takes it over, so memory follows
+/// the peak number of live recording threads — not every thread ever
+/// started, which grows with each ShardedDataflow's fresh pool.
 struct BufferRegistry {
   std::mutex mutex;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers;
+  std::vector<ThreadBuffer*> unowned;
   int32_t next_thread_index = 0;
 };
 
@@ -99,22 +103,33 @@ BufferRegistry& Buffers() {
 }
 
 struct ThreadState {
+  ThreadState() {
+    BufferRegistry& registry = Buffers();
+    std::lock_guard<std::mutex> lock(registry.mutex);
+    if (registry.unowned.empty()) {
+      registry.buffers.push_back(std::make_unique<ThreadBuffer>());
+      buffer = registry.buffers.back().get();
+    } else {
+      buffer = registry.unowned.back();
+      registry.unowned.pop_back();
+    }
+    // Synthetic tids start at 1000 so they never collide with worker ids.
+    fallback_tid = 1000 + registry.next_thread_index++;
+  }
+  ~ThreadState() {
+    BufferRegistry& registry = Buffers();
+    std::lock_guard<std::mutex> lock(registry.mutex);
+    registry.unowned.push_back(buffer);
+  }
+  ThreadState(const ThreadState&) = delete;
+  ThreadState& operator=(const ThreadState&) = delete;
+
   ThreadBuffer* buffer = nullptr;
   int32_t fallback_tid = 0;
 };
 
 ThreadState& LocalState() {
-  thread_local ThreadState state = [] {
-    ThreadState s;
-    auto owned = std::make_unique<ThreadBuffer>();
-    s.buffer = owned.get();
-    BufferRegistry& registry = Buffers();
-    std::lock_guard<std::mutex> lock(registry.mutex);
-    registry.buffers.push_back(std::move(owned));
-    // Synthetic tids start at 1000 so they never collide with worker ids.
-    s.fallback_tid = 1000 + registry.next_thread_index++;
-    return s;
-  }();
+  thread_local ThreadState state;
   return state;
 }
 
@@ -296,6 +311,12 @@ void ClearForTest() {
   BufferRegistry& registry = Buffers();
   std::lock_guard<std::mutex> lock(registry.mutex);
   for (auto& buffer : registry.buffers) buffer->Clear();
+}
+
+size_t ThreadBufferCountForTest() {
+  BufferRegistry& registry = Buffers();
+  std::lock_guard<std::mutex> lock(registry.mutex);
+  return registry.buffers.size();
 }
 
 }  // namespace gs::trace

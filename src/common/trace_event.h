@@ -85,6 +85,9 @@ Status WriteJson(const std::string& path);
 /// Drops all buffered events (tests).
 void ClearForTest();
 
+/// Per-thread ring buffers allocated so far (tests).
+size_t ThreadBufferCountForTest();
+
 /// RAII span: captures the start time at construction, records one complete
 /// event at destruction. No-op (two relaxed loads) while disabled; a span
 /// that starts disabled stays disabled even if recording is enabled

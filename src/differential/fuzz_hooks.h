@@ -88,24 +88,10 @@ struct Hooks {
   /// Status::Internal once this many events ran in one step (0 = off).
   uint64_t fail_after_events = 0;
 
-  /// Watchdog testing: one injected frontier stall per ShardedDataflow
-  /// Step() — after a round's status is published (records outstanding
-  /// non-zero, round counter static), the step thread sleeps this long
-  /// before running the phase (0 = off). Not a correctness perturbation;
-  /// exists so the watchdog's frontier_stall rule is deterministically
-  /// testable.
-  uint64_t stall_frontier_ms = 0;
-
-  /// Watchdog testing: every ShardedDataflow::SealEpoch sleeps this long
-  /// before compacting (0 = off), pushing LiveRun::AdvanceEpoch past the
-  /// watchdog's epoch_advance_deadline.
-  uint64_t delay_epoch_seal_ms = 0;
-
   bool any() const {
     return scramble_seq || scramble_op_order || shuffle_exchange ||
            compaction_period != 0 || tail_seal_threshold != 0 ||
-           drop_insert_at != 0 || fail_after_events != 0 ||
-           stall_frontier_ms != 0 || delay_epoch_seal_ms != 0;
+           drop_insert_at != 0 || fail_after_events != 0;
   }
 };
 

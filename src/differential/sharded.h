@@ -32,12 +32,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -50,7 +48,6 @@
 #include "common/trace_event.h"
 #include "differential/dataflow.h"
 #include "differential/exchange.h"
-#include "differential/fuzz_hooks.h"
 
 namespace gs::differential {
 
@@ -136,11 +133,11 @@ class ShardedDataflow {
     profile_->BlockEnd();
     static metrics::Counter* frontier_rounds =
         metrics::Registry::Global().GetCounter("gs_engine_frontier_rounds");
-    // Heartbeat gauge for the watchdog's frontier_stall rule: non-zero
-    // while a round's pending work is known, cleared when the step ends.
+    // Records pending across shards while a round's work is known, 0 once
+    // the step ends: with gs_engine_frontier_rounds, a scraper's sign of a
+    // wedged step.
     static metrics::Gauge* outstanding_gauge =
         metrics::Registry::Global().GetGauge("gs_engine_records_outstanding");
-    bool stall_injected = false;
     for (;;) {
       // Drain-and-report phase. Every inbox is drained here, so after the
       // barrier nothing is in flight and the reported minima are complete:
@@ -182,14 +179,6 @@ class ShardedDataflow {
         status_.frontier_valid = true;
         status_.frontier_rounds += 1;
         status_.records_outstanding = outstanding;
-      }
-      if (fuzz::GlobalHooks().stall_frontier_ms != 0 && !stall_injected) {
-        // Injected frontier stall (watchdog testing): hold the round open
-        // with outstanding records published and the round counter static.
-        // Once per Step so multi-version feeds don't multiply the delay.
-        stall_injected = true;
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(fuzz::GlobalHooks().stall_frontier_ms));
       }
       if (trace::Enabled()) {
         // One instant event per frontier advance: which (version, iteration)
@@ -259,14 +248,8 @@ class ShardedDataflow {
   void SealEpoch() {
     // Epoch seals get their own attribution window (they run between Step
     // windows), so full-spine compaction shows up as seal time, not as a
-    // mystery gap. An injected fuzz delay lands in the window's idle state.
+    // mystery gap.
     profile_->StepBegin(current_version());
-    if (fuzz::GlobalHooks().delay_epoch_seal_ms != 0) {
-      // Injected seal delay (watchdog testing): stretches AdvanceEpoch past
-      // the epoch_advance_deadline without perturbing what is computed.
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(fuzz::GlobalHooks().delay_epoch_seal_ms));
-    }
     const size_t w = num_workers();
     profile_->BlockBegin();
     pool_->ParallelFor(w, [&](size_t i) {
@@ -282,8 +265,8 @@ class ShardedDataflow {
         ops.push_back(ShardOperatorStatus{i, std::move(snap)});
       }
     }
-    // The ingest-lag denominator: the watchdog compares this gauge to
-    // gs_graph_epoch to see whether the engine keeps up with ingest.
+    // Against gs_graph_epoch, a scraper's measure of whether the engine
+    // keeps up with ingest.
     static metrics::Gauge* last_sealed =
         metrics::Registry::Global().GetGauge("gs_engine_last_sealed_epoch");
     last_sealed->Set(static_cast<int64_t>(workers_[0]->epochs_sealed()));

@@ -128,7 +128,7 @@ Status WalWriter::Sync() {
   Timer fsync_timer;
   int rc = ::fsync(fd_);
   // SLO: observed on failure too — a hung-then-failed fsync is exactly the
-  // latency spike the watchdog's wal_fsync_latency rule watches for.
+  // latency spike a scraper's p99 over this histogram should show.
   static auto* fsync_nanos =
       metrics::Registry::Global().GetHistogram("gs_wal_fsync_nanos");
   fsync_nanos->Observe(static_cast<uint64_t>(fsync_timer.Nanos()));

@@ -18,7 +18,6 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace_event.h"
-#include "common/watchdog.h"
 
 namespace gs::server {
 
@@ -46,19 +45,8 @@ StatusServer::~StatusServer() { Stop(); }
 
 void StatusServer::RegisterBuiltins() {
   Handle("/healthz", [] {
-    // Rule-evaluated liveness: healthy (including "watchdog not running")
-    // keeps the plain 200 "ok\n" contract; any violated watchdog rule turns
-    // it into a 503 whose JSON body names the rules, so a supervisor can
-    // alert on — or restart — a process that is alive but wedged.
     HttpResponse r;
-    watchdog::HealthSnapshot health = watchdog::Watchdog::Global().Health();
-    if (health.healthy) {
-      r.body = "ok\n";
-      return r;
-    }
-    r.status_code = 503;
-    r.content_type = "application/json";
-    r.body = watchdog::Watchdog::Global().RenderHealthJson();
+    r.body = "ok\n";
     return r;
   });
   Handle("/metrics", [] {

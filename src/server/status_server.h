@@ -28,15 +28,12 @@
 // never grows without bound. A process's status pages run with one worker.
 //
 // Built-in pages:
-//   /healthz    watchdog-evaluated health: 200 "ok\n" while no rule is
-//               violated, 503 with a JSON body naming the violated rules
-//               otherwise (HEAD mirrors the status code)
+//   /healthz    liveness probe: 200 "ok\n" while the listener serves
 //   /metrics    Prometheus exposition text (metrics registry)
 //   /tracez     newest trace_event spans per thread, Chrome trace JSON
 //   /statusz    every registered introspection source: each running
 //               dataflow publishes its operator/channel/frontier snapshot
-//               and, under "sched", its per-worker time attribution; the
-//               watchdog publishes its health verdict
+//               and, under "sched", its per-worker time attribution
 //   /           plain-text index of the registered pages
 // More pages (the api layer's /profilez, the query front end's /sessionz)
 // are registered via Handle(), POST routes via HandlePost(). A POST to a

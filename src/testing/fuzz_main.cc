@@ -12,7 +12,6 @@
 #include <string>
 
 #include "common/crash_dump.h"
-#include "common/watchdog.h"
 #include "testing/fuzz_driver.h"
 
 namespace {
@@ -37,10 +36,6 @@ bool ParseUint(const char* text, uint64_t* out) {
 
 int main(int argc, char** argv) {
   gs::InstallCrashHandlers();
-  // Opt-in watchdog (GRAPHSURGE_WATCHDOG): a stalled or wedged fuzz case
-  // then produces a flight_*.json dump in GRAPHSURGE_FLIGHT_DIR alongside
-  // the repro_* artifacts.
-  gs::watchdog::Watchdog::MaybeStartFromEnv();
   gs::testing::FuzzOptions options;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];

@@ -57,10 +57,7 @@ StatusOr<std::unique_ptr<LiveRun>> LiveRun::Start(
     }
     GS_RETURN_IF_ERROR(run->engine_->Step());
   }
-  // Epoch 0 is the full initial build — by far the largest history the run
-  // will ever feed — so collapsing it is worth a full compaction whatever
-  // the cadence (unless sealing is disabled outright).
-  if (options.full_compaction_period != 0) run->engine_->SealEpoch();
+  run->engine_->SealEpoch();
   run->epochs_fed_ = 1;
   run->last_epoch_input_diffs_ = run->epoch_input_diffs_;
   run->epoch_input_diffs_ = 0;
@@ -69,11 +66,11 @@ StatusOr<std::unique_ptr<LiveRun>> LiveRun::Start(
 
 namespace {
 
-/// SLO + watchdog marker around one epoch advance. The start-time gauge is
-/// what the watchdog's epoch_advance_deadline rule reads (non-zero =
-/// in progress since that NowMillis); the destructor clears it on every
-/// exit path so an early validation return can never leave the deadline
-/// armed.
+/// SLO histogram and in-progress marker around one epoch advance. The
+/// start-time gauge is non-zero (the NowMillis the advance began) only while
+/// an advance runs, so a scraper that sees one value stay put knows how long
+/// an advance has been stuck; the destructor clears it on every exit path so
+/// an early validation return can never leave it set.
 class EpochAdvanceScope {
  public:
   EpochAdvanceScope() {
@@ -209,10 +206,7 @@ Status LiveRun::AdvanceEpoch(const std::vector<EdgeId>& touched_edges) {
     }
   }
 
-  if (options_.full_compaction_period != 0 &&
-      epoch % options_.full_compaction_period == 0) {
-    engine_->SealEpoch();
-  }
+  engine_->SealEpoch();
   ++epochs_fed_;
   last_epoch_input_diffs_ = epoch_input_diffs_;
   epoch_input_diffs_ = 0;

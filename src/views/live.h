@@ -26,9 +26,9 @@
 // Per-epoch input cost is O(|touched| + Σ_t |δC_t|) with the constant
 // halved versus the wrap-around design. ResultsAt hides the zigzag: it maps
 // (epoch, view position) to the flattened engine version, reversing the
-// position for odd epochs. After the last view of an epoch the engine may
-// seal the epoch (full trace compaction — no future input can land at or
-// before it) at the cadence set by LiveRunOptions::full_compaction_period.
+// position for odd epochs. After the last view of an epoch the engine
+// seals the epoch (trace compaction — no future input can land at or before
+// it); Trace::CompactEpoch skips traces the epoch barely touched.
 #ifndef GRAPHSURGE_VIEWS_LIVE_H_
 #define GRAPHSURGE_VIEWS_LIVE_H_
 
@@ -53,13 +53,6 @@ struct LiveRunOptions {
   /// Engine parameters (num_workers > 1 runs sharded; defaults to the
   /// system's worker count, see SystemDefaultDataflow).
   differential::DataflowOptions dataflow = SystemDefaultDataflow();
-  /// Seal (fully compact) the engine's traces after every N-th epoch;
-  /// epochs in between rely on the amortized per-version compaction alone.
-  /// 0 never epoch-seals. A full-spine rewrite costs O(total state)
-  /// regardless of batch size, so streams of small frequent batches should
-  /// raise this; 1 (the default) preserves seal-every-epoch behavior.
-  /// Purely a compaction cadence — results are identical for any value.
-  uint32_t full_compaction_period = 1;
 };
 
 /// A continuously maintained differential execution: one computation, one

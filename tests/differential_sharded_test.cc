@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "algorithms/algorithms.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "graph/generators.h"
 #include "gvdl/parser.h"
@@ -311,6 +312,34 @@ TEST(ShardedTest, StatsAreMergedPerWorker) {
   std::vector<uint64_t> events = sharded.dataflow().PerWorkerEvents();
   ASSERT_EQ(events.size(), 4u);
   for (uint64_t e : events) EXPECT_GT(e, 0u);
+}
+
+TEST(ShardedTest, ScrapedProgressGaugesSettleAfterStepAndSeal) {
+  // The /metrics signals from which a scraper judges a wedged step or a
+  // lagging ingest: rounds advance during a step, nothing is reported
+  // outstanding once it returns, and the sealed-epoch gauge tracks
+  // epochs_sealed().
+  metrics::Registry& registry = metrics::Registry::Global();
+  metrics::Counter* rounds = registry.GetCounter("gs_engine_frontier_rounds");
+  metrics::Gauge* outstanding =
+      registry.GetGauge("gs_engine_records_outstanding");
+  metrics::Gauge* last_sealed =
+      registry.GetGauge("gs_engine_last_sealed_epoch");
+  auto build = [](Dataflow*, Stream<IntPair> in) {
+    return ReduceMin<int64_t, int64_t>(in);
+  };
+  ShardedHarness<IntPair, IntPair> sharded(4, build);
+  for (uint32_t epoch = 1; epoch <= 2; ++epoch) {
+    for (int64_t k = 0; k < 200; ++k) sharded.Send({k, k + epoch}, 1);
+    const uint64_t rounds_before = rounds->Value();
+    ASSERT_TRUE(sharded.Step().ok());
+    EXPECT_GT(rounds->Value(), rounds_before);
+    EXPECT_EQ(outstanding->Value(), 0);
+    sharded.dataflow().SealEpoch();
+    EXPECT_EQ(sharded.dataflow().epochs_sealed(), epoch);
+    EXPECT_EQ(last_sealed->Value(),
+              static_cast<int64_t>(sharded.dataflow().epochs_sealed()));
+  }
 }
 
 TEST(ShardedTest, EventCapErrorPropagatesFromWorkers) {

@@ -13,6 +13,7 @@
 
 #include "algorithms/algorithms.h"
 #include "api/graphsurge.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "graph/graph.h"
 #include "graph/mutation.h"
@@ -190,13 +191,19 @@ TEST(LiveMutationTest, AdvanceEpochRequiresRefreshedCollection) {
   MutationEffects effects;
   ASSERT_TRUE(
       ApplyMutationBatch(&g, {Mutation::RemoveEdge(0)}, &effects).ok());
+  // The in-progress marker a scraper reads: non-zero only while an advance
+  // runs, so it must read 0 again after every return, early ones included.
+  metrics::Gauge* started = metrics::Registry::Global().GetGauge(
+      "gs_live_epoch_advance_started_ms");
   // Collection not refreshed yet: the live run must refuse the epoch.
   Status advanced = live.value()->AdvanceEpoch(effects.touched_edges);
   EXPECT_EQ(advanced.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(started->Value(), 0);
   // After maintenance it proceeds.
   ASSERT_TRUE(
       views::UpdateCollectionForMutations(&mc, g, effects.touched_edges).ok());
   EXPECT_TRUE(live.value()->AdvanceEpoch(effects.touched_edges).ok());
+  EXPECT_EQ(started->Value(), 0);
 }
 
 TEST(LiveMutationTest, ViewsEntryPointsRejectBadWeightColumns) {
@@ -284,6 +291,12 @@ TEST(LiveMutationTest, GraphsurgeFacadeWalRecovery) {
     }
     final_epoch = system.GraphEpoch("g").value();
     EXPECT_EQ(final_epoch, 3u);
+    // The two gauges a scraper subtracts to see ingest lag: caught up, the
+    // engine has sealed epochs 0..3.
+    metrics::Registry& registry = metrics::Registry::Global();
+    EXPECT_EQ(registry.GetGauge("gs_graph_epoch", {{"graph", "g"}})->Value(),
+              3);
+    EXPECT_EQ(registry.GetGauge("gs_engine_last_sealed_epoch")->Value(), 4);
     const views::LiveRun* live = system.GetLiveRun("live").value();
     EXPECT_EQ(live->epochs_fed(), 4u);
     for (size_t t = 0; t < live->num_views(); ++t) {

@@ -18,6 +18,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "algorithms/computation.h"
@@ -108,8 +109,8 @@ inline WeightedEdge RandomEdge(Rng& rng, uint64_t n, int64_t max_weight = 9) {
 }
 
 // --- Raw-socket HTTP client ------------------------------------------------
-// Shared by every server test (status server, watchdog endpoints, query
-// server): one implementation of "speak bytes at a loopback port" so
+// Shared by every server test (status server, query server): one
+// implementation of "speak bytes at a loopback port" so
 // protocol-conformance expectations are identical across suites.
 
 struct HttpReply {
@@ -270,6 +271,24 @@ inline void ExpectHttpConformance(uint16_t port) {
   EXPECT_NE(replies[0].raw.find("Connection: keep-alive"),
             std::string::npos);
   EXPECT_NE(replies[2].raw.find("Connection: close"), std::string::npos);
+
+  // HEAD mirrors GET's status and advertises its body's length without
+  // sending the body, for a page and for an unknown path alike.
+  const std::pair<std::string, int> kHeadCases[] = {{"/healthz", 200},
+                                                    {"/no-such-page", 404}};
+  for (const auto& [path, status] : kHeadCases) {
+    const HttpReply get = HttpGet(port, path);
+    const HttpReply head = HttpFetch(
+        port, "HEAD " + path + " HTTP/1.1\r\nHost: x\r\n"
+                               "Connection: close\r\n\r\n");
+    EXPECT_EQ(get.status_code, status) << path;
+    EXPECT_EQ(head.status_code, status) << path;
+    EXPECT_TRUE(head.body.empty()) << path;
+    EXPECT_NE(head.raw.find("Content-Length: " +
+                            std::to_string(get.body.size()) + "\r\n"),
+              std::string::npos)
+        << head.raw;
+  }
 
   // POST without Content-Length: the one body framing we speak is
   // Content-Length, so its absence is 411, not a hang waiting for EOF.

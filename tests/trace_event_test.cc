@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.h"
@@ -202,6 +203,26 @@ TEST_F(TraceEventTest, EngineRunProducesLoadablePerfettoTrace) {
   EXPECT_TRUE(saw_step);
   EXPECT_TRUE(saw_seal);
   EXPECT_TRUE(saw_op);
+}
+
+// Threads that record and exit one after another share one ring buffer:
+// a buffer outlives its thread only until the next recording thread takes
+// it over, so a process that keeps starting short-lived pools (a fuzz
+// campaign, a server running one dataflow per query) holds a bounded number
+// of rings. The exited threads' events stay in the dump.
+TEST_F(TraceEventTest, ExitedThreadsHandTheirRingToTheNextThread) {
+  SetEnabled(true);
+  AddInstantEvent("test", "main");
+  std::thread([] { AddInstantEvent("test", "first_thread"); }).join();
+  const size_t buffers = ThreadBufferCountForTest();
+  for (int i = 0; i < 20; ++i) {
+    std::thread([] { AddInstantEvent("test", "later_thread"); }).join();
+  }
+  SetEnabled(false);
+  EXPECT_EQ(ThreadBufferCountForTest(), buffers);
+  const std::string json = ToJson();
+  EXPECT_NE(json.find("\"first_thread\""), std::string::npos);
+  EXPECT_NE(json.find("\"later_thread\""), std::string::npos);
 }
 
 // Overflowing a thread's ring buffer must keep the dump a well-formed
