@@ -18,7 +18,6 @@
 #include "algorithms/algorithms.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "common/sched_profile.h"
 #include "common/timer.h"
 #include "graph/generators.h"
 #include "server/status_server.h"
@@ -167,11 +166,7 @@ class BenchReport {
     std::string out = "{\n  \"bench\": " + Row::Quote(name_) + ",\n";
     out += "  \"meta\": " + meta_.Render() + ",\n";
     out += "  \"metrics\": " + metrics::Registry::Global().JsonSnapshot() +
-           ",\n";
-    // Process-lifetime scheduler attribution rollup (busy/exchange/barrier/
-    // seal/idle nanos + skew). Nanosecond fields, so the --compare seconds
-    // gate ignores it; trajectory tooling can chart busy_frac per commit.
-    out += "  \"sched\": " + sched::GlobalSummaryJson() + ",\n  \"rows\": [\n";
+           ",\n  \"rows\": [\n";
     for (size_t i = 0; i < rows_.size(); ++i) {
       out += "    " + rows_[i].Render();
       out += i + 1 < rows_.size() ? ",\n" : "\n";

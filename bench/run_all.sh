@@ -53,7 +53,8 @@ export GS_BENCH_JSON_DIR="${OUT_DIR}"
 # The scheduler attribution profiler (sched_profile, the "sched" block of
 # each dataflow's /statusz source) is always on — it is a handful of clock
 # reads per Step() — so the 15% --compare bound also gates its overhead;
-# its rollup lands in each BENCH_*.json under "sched".
+# its per-worker state totals (gs_sched_state_nanos) land in each
+# BENCH_*.json's "metrics" snapshot.
 
 BENCHES=(
   micro_differential

@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/crash_dump.h"
+
 
 namespace gs::metrics {
 
@@ -173,6 +175,18 @@ std::string Registry::ExpositionText() const {
 
 std::string Registry::JsonSnapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
+  return JsonSnapshotLocked();
+}
+
+bool Registry::TryJsonSnapshot(std::chrono::steady_clock::time_point deadline,
+                               std::string* out) const {
+  std::unique_lock<std::mutex> lock = LockBy(mutex_, deadline);
+  if (!lock.owns_lock()) return false;
+  *out = JsonSnapshotLocked();
+  return true;
+}
+
+std::string Registry::JsonSnapshotLocked() const {
   std::string out = "{\"counters\": {";
   char buf[48];
   bool first = true;

@@ -22,6 +22,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -170,10 +171,18 @@ class Registry {
   /// (zero buckets omitted). Embedded verbatim in BENCH_*.json reports.
   std::string JsonSnapshot() const;
 
+  /// JsonSnapshot for the crash handler, which must not block: returns
+  /// false, leaving `out` untouched, if the lookup mutex is still held at
+  /// `deadline` (the crash may have interrupted a Get* call).
+  bool TryJsonSnapshot(std::chrono::steady_clock::time_point deadline,
+                       std::string* out) const;
+
   /// Series key as used in exposition: `name` or `name{k="v",...}`.
   static std::string MakeKey(const std::string& name, const Labels& labels);
 
  private:
+  std::string JsonSnapshotLocked() const;
+
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;

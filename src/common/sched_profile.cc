@@ -1,7 +1,6 @@
 #include "common/sched_profile.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 
@@ -10,13 +9,6 @@
 namespace gs::sched {
 
 namespace {
-
-// Process-lifetime totals behind GlobalSummaryJson: they survive profile
-// teardown, so a bench that builds and destroys many dataflows still
-// reports the full run. Indexed by State.
-std::atomic<uint64_t> g_state_nanos[kNumStates];
-std::atomic<uint64_t> g_steps{0};
-std::atomic<uint64_t> g_wall_nanos{0};
 
 void AppendAttribution(std::string* out, size_t worker,
                        const WorkerAttribution& a) {
@@ -66,31 +58,17 @@ const char* StateName(State state) {
   return "unknown";
 }
 
-Skew ComputeSkew(const std::vector<uint64_t>& per_shard) {
-  Skew skew;
-  if (per_shard.empty()) return skew;
+double ComputeSkew(const std::vector<uint64_t>& per_shard) {
   uint64_t sum = 0;
   uint64_t max = 0;
   for (uint64_t v : per_shard) {
     sum += v;
     if (v > max) max = v;
   }
-  if (sum == 0) return skew;
-  const double n = static_cast<double>(per_shard.size());
-  const double mean = static_cast<double>(sum) / n;
-  skew.max_mean_ratio = static_cast<double>(max) / mean;
-  // Gini via mean absolute difference: G = Σ_ij |x_i − x_j| / (2 n² mean).
-  // Shard counts are small (n == num_workers), so O(n²) is fine.
-  double abs_diff = 0.0;
-  for (size_t i = 0; i < per_shard.size(); ++i) {
-    for (size_t j = 0; j < per_shard.size(); ++j) {
-      const double d = static_cast<double>(per_shard[i]) -
-                       static_cast<double>(per_shard[j]);
-      abs_diff += d < 0 ? -d : d;
-    }
-  }
-  skew.gini = abs_diff / (2.0 * n * n * mean);
-  return skew;
+  if (sum == 0) return 0.0;
+  const double mean =
+      static_cast<double>(sum) / static_cast<double>(per_shard.size());
+  return static_cast<double>(max) / mean;
 }
 
 StepProfile::StepProfile(std::string name, size_t num_workers)
@@ -189,7 +167,6 @@ void StepProfile::StepEnd(const StepInputs& inputs) {
     }
   }
 
-  uint64_t state_sums[kNumStates] = {0, 0, 0, 0, 0};
   for (size_t w = 0; w < num_workers_; ++w) {
     const WorkerAttribution& a = current_[w];
     state_counters_[static_cast<size_t>(State::kBusy) * num_workers_ + w]
@@ -202,24 +179,14 @@ void StepProfile::StepEnd(const StepInputs& inputs) {
         ->Increment(a.seal_ns);
     state_counters_[static_cast<size_t>(State::kIdle) * num_workers_ + w]
         ->Increment(a.idle_ns);
-    state_sums[static_cast<size_t>(State::kBusy)] += a.busy_ns;
-    state_sums[static_cast<size_t>(State::kExchange)] += a.exchange_ns;
-    state_sums[static_cast<size_t>(State::kBarrier)] += a.barrier_ns;
-    state_sums[static_cast<size_t>(State::kSeal)] += a.seal_ns;
-    state_sums[static_cast<size_t>(State::kIdle)] += a.idle_ns;
   }
-  for (size_t s = 0; s < kNumStates; ++s) {
-    g_state_nanos[s].fetch_add(state_sums[s], std::memory_order_relaxed);
-  }
-  g_steps.fetch_add(1, std::memory_order_relaxed);
-  g_wall_nanos.fetch_add(wall, std::memory_order_relaxed);
 
-  Skew record_skew = ComputeSkew(inputs.per_shard_records);
+  const double record_skew = ComputeSkew(inputs.per_shard_records);
   std::vector<uint64_t> cumulative_events(num_workers_, 0);
   for (size_t w = 0; w < num_workers_; ++w) {
     cumulative_events[w] = last_events_[w];
   }
-  Skew event_skew = ComputeSkew(cumulative_events);
+  const double event_skew = ComputeSkew(cumulative_events);
 
   {
     std::lock_guard<std::mutex> lock(snapshot_mutex_);
@@ -247,17 +214,13 @@ void StepProfile::StepEnd(const StepInputs& inputs) {
   metrics::Registry& registry = metrics::Registry::Global();
   static metrics::Gauge* ratio_gauge =
       registry.GetGauge("gs_sched_skew_ratio_milli");
-  static metrics::Gauge* gini_gauge =
-      registry.GetGauge("gs_sched_skew_gini_milli");
   static metrics::Gauge* event_ratio_gauge =
       registry.GetGauge("gs_sched_event_skew_ratio_milli");
-  if (record_skew.max_mean_ratio > 0.0) {
-    ratio_gauge->Set(static_cast<int64_t>(record_skew.max_mean_ratio * 1000));
-    gini_gauge->Set(static_cast<int64_t>(record_skew.gini * 1000));
+  if (record_skew > 0.0) {
+    ratio_gauge->Set(static_cast<int64_t>(record_skew * 1000));
   }
-  if (event_skew.max_mean_ratio > 0.0) {
-    event_ratio_gauge->Set(
-        static_cast<int64_t>(event_skew.max_mean_ratio * 1000));
+  if (event_skew > 0.0) {
+    event_ratio_gauge->Set(static_cast<int64_t>(event_skew * 1000));
   }
 }
 
@@ -292,10 +255,8 @@ std::string StepProfile::RenderJson() const {
   }
   std::snprintf(buf, sizeof(buf),
                 "], \"skew\": {\"records_ratio\": %.4f, "
-                "\"records_gini\": %.4f, \"events_ratio\": %.4f, "
-                "\"events_gini\": %.4f, \"per_shard_records\": [",
-                snap.record_skew.max_mean_ratio, snap.record_skew.gini,
-                snap.event_skew.max_mean_ratio, snap.event_skew.gini);
+                "\"events_ratio\": %.4f, \"per_shard_records\": [",
+                snap.record_skew, snap.event_skew);
   out += buf;
   for (size_t i = 0; i < snap.per_shard_records.size(); ++i) {
     if (i) out += ", ";
@@ -322,47 +283,6 @@ std::string StepProfile::RenderJson() const {
     out += "]}";
   }
   out += "]}";
-  return out;
-}
-
-std::string GlobalSummaryJson() {
-  uint64_t state[kNumStates];
-  uint64_t active_total = 0;
-  for (size_t s = 0; s < kNumStates; ++s) {
-    state[s] = g_state_nanos[s].load(std::memory_order_relaxed);
-    active_total += state[s];
-  }
-  const uint64_t steps = g_steps.load(std::memory_order_relaxed);
-  const uint64_t wall = g_wall_nanos.load(std::memory_order_relaxed);
-  metrics::Registry& registry = metrics::Registry::Global();
-  const int64_t ratio_milli =
-      registry.GetGauge("gs_sched_skew_ratio_milli")->Value();
-  const int64_t gini_milli =
-      registry.GetGauge("gs_sched_skew_gini_milli")->Value();
-  using ull = unsigned long long;
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "{\"steps\": %llu, \"wall_ns\": %llu, \"state_nanos\": {",
-                static_cast<ull>(steps), static_cast<ull>(wall));
-  std::string out = buf;
-  for (size_t s = 0; s < kNumStates; ++s) {
-    std::snprintf(buf, sizeof(buf), "%s\"%s\": %llu", s ? ", " : "",
-                  StateName(static_cast<State>(s)),
-                  static_cast<ull>(state[s]));
-    out += buf;
-  }
-  const double busy_frac =
-      active_total > 0
-          ? static_cast<double>(state[static_cast<size_t>(State::kBusy)]) /
-                static_cast<double>(active_total)
-          : 0.0;
-  std::snprintf(buf, sizeof(buf),
-                "}, \"busy_frac\": %.4f, \"skew\": "
-                "{\"records_ratio_milli\": %lld, "
-                "\"records_gini_milli\": %lld}}",
-                busy_frac, static_cast<long long>(ratio_milli),
-                static_cast<long long>(gini_milli));
-  out += buf;
   return out;
 }
 

@@ -21,10 +21,10 @@
 //
 // Per-shard record counts (each worker's DataflowStats::shard_records,
 // maintained by keyed operators at join/reduce boundaries) and per-worker
-// scheduler event counts feed two skew figures: max/mean ratio (1.0 =
-// perfectly balanced; the ratio bounds achievable speedup) and the Gini
-// coefficient over shards. Both are published as registry gauges, so a
-// slow sharded run and a skewed one are distinguishable.
+// scheduler event counts each feed a skew figure, their max/mean ratio
+// (1.0 = perfectly balanced; the ratio bounds achievable speedup),
+// published as registry gauges, so a slow sharded run and a skewed one are
+// distinguishable.
 //
 // Thread model: the coordinator (the thread driving Step) calls StepBegin /
 // BlockBegin / BlockEnd / StepEnd; worker w calls AddBusy/AddExchange/
@@ -81,18 +81,11 @@ struct WorkerAttribution {
   }
 };
 
-/// Imbalance summary over a per-shard work distribution.
-struct Skew {
-  /// max(shard) / mean(shard); 1.0 = perfectly balanced, W = one hot shard.
-  /// The modeled speedup ceiling of a W-worker run is W / ratio. 0 when the
-  /// distribution is empty or all-zero.
-  double max_mean_ratio = 0.0;
-  /// Gini coefficient over shards in [0, 1): 0 = balanced, → 1 = all work
-  /// on one shard. Unlike the ratio it sees mid-distribution imbalance.
-  double gini = 0.0;
-};
-
-Skew ComputeSkew(const std::vector<uint64_t>& per_shard);
+/// Imbalance of a per-shard work distribution: max(shard) / mean(shard);
+/// 1.0 = perfectly balanced, W = one hot shard, so a W-worker run can be at
+/// most W / ratio times faster than serial. 0 when the distribution is
+/// empty or all-zero.
+double ComputeSkew(const std::vector<uint64_t>& per_shard);
 
 /// Per-step counters the driver hands to StepEnd. Event/record figures are
 /// cumulative (the profile differences them internally).
@@ -158,8 +151,8 @@ class StepProfile {
     uint64_t exchange_batches = 0;
     std::vector<WorkerAttribution> totals;  // per worker, lifetime
     std::vector<uint64_t> per_shard_records;
-    Skew record_skew;
-    Skew event_skew;
+    double record_skew = 0.0;  // ComputeSkew(per_shard_records)
+    double event_skew = 0.0;   // ComputeSkew over per-worker events
     std::vector<VersionRecord> recent;  // newest last, ≤ kRecentVersions
   };
 
@@ -197,15 +190,10 @@ class StepProfile {
   uint64_t exchange_batches_ = 0;
   std::vector<WorkerAttribution> totals_;
   std::vector<uint64_t> per_shard_records_;
-  Skew record_skew_;
-  Skew event_skew_;
+  double record_skew_ = 0.0;
+  double event_skew_ = 0.0;
   std::deque<VersionRecord> recent_;
 };
-
-/// Process-lifetime rollup across all profiles (including torn-down ones):
-/// the BENCH json `sched` block. `{"steps", "wall_ns", "state_nanos",
-/// "busy_frac", "skew"}`.
-std::string GlobalSummaryJson();
 
 }  // namespace gs::sched
 

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/crash_dump.h"
@@ -37,6 +38,13 @@ struct Event {
   uint32_t version = kNoVersion;
 };
 
+/// Locks `mu`; with a `deadline`, only until then (LockBy), so the returned
+/// lock may not own the mutex.
+std::unique_lock<std::mutex> LockUntil(
+    std::mutex& mu, const std::optional<Clock::time_point>& deadline) {
+  return deadline ? LockBy(mu, *deadline) : std::unique_lock<std::mutex>(mu);
+}
+
 /// Per-thread ring buffer. Only the owning thread writes, but readers (the
 /// status server's /tracez, the crash-time flight recorder) may collect at
 /// any moment, so both sides take the buffer's own mutex — uncontended in
@@ -55,9 +63,12 @@ class ThreadBuffer {
   }
 
   /// Appends the buffered events, oldest first. `max_events` == 0 keeps
-  /// everything; otherwise only the newest `max_events` are appended.
-  void CollectInto(std::vector<Event>* out, size_t max_events = 0) const {
-    std::lock_guard<std::mutex> lock(mutex_);
+  /// everything; otherwise only the newest `max_events` are appended. With
+  /// a `deadline`, appends nothing if the buffer stays locked until then.
+  void CollectInto(std::vector<Event>* out, size_t max_events,
+                   const std::optional<Clock::time_point>& deadline) const {
+    std::unique_lock<std::mutex> lock = LockUntil(mutex_, deadline);
+    if (!lock.owns_lock()) return;
     size_t begin = out->size();
     if (wrapped_) {
       out->insert(out->end(), events_.begin() + next_, events_.end());
@@ -242,12 +253,17 @@ void AddCounterEvent(const char* category, const char* name, int64_t value) {
 
 namespace {
 
-std::vector<Event> CollectEvents(size_t max_events_per_thread) {
+/// Every ring's events (see ThreadBuffer::CollectInto); with a `deadline`,
+/// what stays locked until then is left out.
+std::vector<Event> CollectEvents(
+    size_t max_events_per_thread,
+    const std::optional<Clock::time_point>& deadline) {
   std::vector<Event> events;
   BufferRegistry& registry = Buffers();
-  std::lock_guard<std::mutex> lock(registry.mutex);
+  std::unique_lock<std::mutex> lock = LockUntil(registry.mutex, deadline);
+  if (!lock.owns_lock()) return events;
   for (const auto& buffer : registry.buffers) {
-    buffer->CollectInto(&events, max_events_per_thread);
+    buffer->CollectInto(&events, max_events_per_thread, deadline);
   }
   return events;
 }
@@ -287,14 +303,15 @@ std::string RenderJson(const std::vector<Event>& events) {
 
 }  // namespace
 
-std::string ToJson() { return RenderJson(CollectEvents(0)); }
+std::string ToJson() { return RenderJson(CollectEvents(0, std::nullopt)); }
 
 std::string ToJsonTail(size_t max_events_per_thread) {
-  return RenderJson(CollectEvents(max_events_per_thread));
+  return RenderJson(CollectEvents(max_events_per_thread, std::nullopt));
 }
 
-Status WriteJson(const std::string& path) {
-  std::string json = ToJson();
+Status WriteJson(const std::string& path,
+                 std::optional<Clock::time_point> deadline) {
+  std::string json = RenderJson(CollectEvents(0, deadline));
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     return Status::Internal("cannot open trace output file: " + path);

@@ -5,10 +5,8 @@
 // a per-buffer mutex (no allocation on the hot path, no cross-thread
 // contention — the lock is only ever contended by a live scrape; the newest
 // events win when a buffer wraps). When recording is disabled — the default
-// — every entry point is a single relaxed atomic load, and the GS_TRACE_*
-// macros compile to nothing at all when GRAPHSURGE_ENABLE_TRACE_EVENTS is
-// defined to 0. Timestamps come from the monotonic clock, measured from a
-// process-wide epoch.
+// — every entry point is a single relaxed atomic load. Timestamps come from
+// the monotonic clock, measured from a process-wide epoch.
 //
 // Events carry the worker id set via gs::SetThreadWorkerId (logging.h) as
 // their Chrome `tid`, so per-worker-shard tracks line up in the UI; threads
@@ -21,15 +19,13 @@
 #define GRAPHSURGE_COMMON_TRACE_EVENT_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "common/status.h"
-
-#ifndef GRAPHSURGE_ENABLE_TRACE_EVENTS
-#define GRAPHSURGE_ENABLE_TRACE_EVENTS 1
-#endif
 
 namespace gs::trace {
 
@@ -79,8 +75,13 @@ std::string ToJson();
 /// enough to serve while a run is recording.
 std::string ToJsonTail(size_t max_events_per_thread);
 
-/// Writes ToJson() to `path`.
-Status WriteJson(const std::string& path);
+/// Writes ToJson() to `path`. The crash handler, which must not block,
+/// passes a `deadline`: the recorder's locks are waited for only until
+/// then, and a ring still locked (its holder may be the thread the crash
+/// interrupted) is left out.
+Status WriteJson(const std::string& path,
+                 std::optional<std::chrono::steady_clock::time_point>
+                     deadline = std::nullopt);
 
 /// Drops all buffered events (tests).
 void ClearForTest();
@@ -133,7 +134,6 @@ class Span {
 
 }  // namespace gs::trace
 
-#if GRAPHSURGE_ENABLE_TRACE_EVENTS
 #define GS_TRACE_CONCAT_IMPL(a, b) a##b
 #define GS_TRACE_CONCAT(a, b) GS_TRACE_CONCAT_IMPL(a, b)
 /// Scoped span covering the rest of the enclosing block.
@@ -147,19 +147,5 @@ class Span {
   ::gs::trace::AddInstantEvent(category, name)
 #define GS_TRACE_COUNTER(category, name, value) \
   ::gs::trace::AddCounterEvent(category, name, value)
-#else
-#define GS_TRACE_SPAN(category, name) \
-  do {                                \
-  } while (0)
-#define GS_TRACE_SPAN_V(category, name, version) \
-  do {                                           \
-  } while (0)
-#define GS_TRACE_INSTANT(category, name) \
-  do {                                   \
-  } while (0)
-#define GS_TRACE_COUNTER(category, name, value) \
-  do {                                          \
-  } while (0)
-#endif  // GRAPHSURGE_ENABLE_TRACE_EVENTS
 
 #endif  // GRAPHSURGE_COMMON_TRACE_EVENT_H_

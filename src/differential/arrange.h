@@ -49,9 +49,7 @@ class ArrangeOp : public OperatorBase {
  public:
   ArrangeOp(Dataflow* dataflow, Stream<std::pair<K, V>> in)
       : OperatorBase(dataflow, "arrange") {
-    RegisterOutput(&output_);
     in.publisher()->Subscribe(
-        dataflow, order(),
         [this](const Time& t, const Batch<std::pair<K, V>>& b) {
           port_.Append(t, b);
           RequestRun(t);
@@ -179,15 +177,12 @@ class JoinStreamArrangedOp : public OperatorBase {
         fn_(std::move(fn)),
         right_trace_(right.trace()) {
     dataflow->stats().arrangement_shares++;
-    RegisterOutput(&output_);
     left.publisher()->Subscribe(
-        dataflow, order(),
         [this](const Time& t, const Batch<std::pair<K, V1>>& b) {
           left_port_.Append(t, b);
           RequestRun(t);
         });
     right.deltas().publisher()->Subscribe(
-        dataflow, order(),
         [this](const Time& t, const Batch<std::pair<K, V2>>& b) {
           right_port_.Append(t, b);
           RequestRun(t);
@@ -271,15 +266,12 @@ class JoinArrangedArrangedOp : public OperatorBase {
         left_trace_(left.trace()),
         right_trace_(right.trace()) {
     dataflow->stats().arrangement_shares += 2;
-    RegisterOutput(&output_);
     left.deltas().publisher()->Subscribe(
-        dataflow, order(),
         [this](const Time& t, const Batch<std::pair<K, V1>>& b) {
           left_port_.Append(t, b);
           RequestRun(t);
         });
     right.deltas().publisher()->Subscribe(
-        dataflow, order(),
         [this](const Time& t, const Batch<std::pair<K, V2>>& b) {
           right_port_.Append(t, b);
           RequestRun(t);

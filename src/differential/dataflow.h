@@ -19,7 +19,6 @@
 #ifndef GRAPHSURGE_DIFFERENTIAL_DATAFLOW_H_
 #define GRAPHSURGE_DIFFERENTIAL_DATAFLOW_H_
 
-#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
@@ -56,8 +55,6 @@ struct DataflowOptions {
   /// Safety cap on events processed within one version (divergence guard).
   /// In sharded mode the cap applies per worker shard.
   uint64_t max_events_per_version = 1ull << 34;
-  /// Default cap on loop iterations (Iterate may override per-scope).
-  uint32_t max_iterations = 1u << 20;
   /// Per-run transaction against the process-level shared-arrangement
   /// cache (arrcache.h), threaded to operators by views::RunOnGraph. When
   /// set, qualifying arrangement owners (ArrangeOp, arranged ReduceOp)
@@ -78,8 +75,6 @@ struct DataflowStats {
   uint64_t updates_published = 0;
   uint64_t join_matches = 0;
   uint64_t reduce_evaluations = 0;
-  uint64_t batches_published = 0;
-  uint64_t exchanged_updates = 0;  // updates routed to a different shard
   /// Payload bytes pushed into peer shards' exchange inboxes (record size ×
   /// update count; wire format equals in-memory format in-process).
   uint64_t exchanged_bytes = 0;
@@ -92,33 +87,24 @@ struct DataflowStats {
   /// one private trace the pre-arrangement plan would have built and
   /// maintained redundantly.
   uint64_t arrangement_shares = 0;
-  /// Trace-size gauges, refreshed at each SealPhase: total entries and
-  /// spine batches across all operator-owned traces, post-compaction.
+  /// Operator-state totals of the last seal (Dataflow::SealPhase or
+  /// SealEpoch), summed over its operator snapshot: entries and spine
+  /// batches across all operator-owned traces, live resident bytes of
+  /// operator history — owned traces (entry count × sizeof(Entry), see
+  /// Trace::kEntryBytes) plus reduces' per-key iteration-major histories —
+  /// the high-water mark of that figure, and cumulative spine batch merges.
   /// Merge() sums them, so a sharded aggregate is the fleet-wide total.
   uint64_t trace_entries = 0;
   uint64_t trace_spine_batches = 0;
-  /// Memory-accounting gauges, refreshed alongside the trace gauges above:
-  /// live resident bytes of operator history — owned traces (entry count ×
-  /// sizeof(Entry), see Trace::kEntryBytes) plus reduces' per-key
-  /// iteration-major histories — the high-water mark of that figure,
-  /// cumulative bytes reclaimed by trace consolidation/compaction, and
-  /// updates currently buffered in operator input ports + exchange inboxes.
   uint64_t trace_bytes = 0;
   uint64_t trace_high_water_bytes = 0;
-  uint64_t trace_reclaimed_bytes = 0;
-  uint64_t queued_update_bytes = 0;
-  /// Cumulative spine maintenance counters, re-reported at each seal like
-  /// the gauges above: batch merges performed (geometric invariant + full
-  /// compactions) and full-spine compaction passes run.
   uint64_t trace_spine_merges = 0;
-  uint64_t trace_compactions = 0;
-  /// Wall time per operator, folded in at each SealPhase: RunAt plus the
-  /// operator's OnStepBegin / OnVersionSealed work (input flushes, trace
-  /// compaction). A stateful operator's RunAt includes the synchronous
-  /// linear subscribers it feeds (map/filter chains run inside Publish).
-  /// Keys follow the `name@shard` convention in sharded execution (see
-  /// NormalizeOpName), so merging shards never conflates distinct shards'
-  /// entries.
+  /// Wall time per operator name, folded in at each seal: RunAt plus the
+  /// operator's OnStepBegin / OnVersionSealed / OnEpochSealed work (input
+  /// flushes, trace compaction). A stateful operator's RunAt includes the
+  /// synchronous linear subscribers it feeds (map/filter chains run inside
+  /// Publish). Per-shard, per-operator time is each snapshot row's
+  /// run_nanos.
   std::map<std::string, uint64_t> op_nanos;
   /// Records processed by this dataflow's keyed operators: one per join
   /// match, plus the input and output sizes of each reduce evaluation that
@@ -126,16 +112,12 @@ struct DataflowStats {
   /// is its shard's record count (StepInputs::per_shard_records).
   uint64_t shard_records = 0;
 
-  /// Folds another stats object into this one (element-wise sums). op_nanos
-  /// keys are summed verbatim: worker shards record under distinct
-  /// `name@shard` keys, so a merge across shards is lossless — use
-  /// AggregatedOpNanos() for the per-operator rollup.
+  /// Folds another stats object into this one (element-wise sums; op_nanos
+  /// summed per operator name).
   void Merge(const DataflowStats& other) {
     updates_published += other.updates_published;
     join_matches += other.join_matches;
     reduce_evaluations += other.reduce_evaluations;
-    batches_published += other.batches_published;
-    exchanged_updates += other.exchanged_updates;
     exchanged_bytes += other.exchanged_bytes;
     arrangement_probes += other.arrangement_probes;
     arrangement_shares += other.arrangement_shares;
@@ -143,44 +125,17 @@ struct DataflowStats {
     trace_spine_batches += other.trace_spine_batches;
     trace_bytes += other.trace_bytes;
     trace_high_water_bytes += other.trace_high_water_bytes;
-    trace_reclaimed_bytes += other.trace_reclaimed_bytes;
-    queued_update_bytes += other.queued_update_bytes;
     trace_spine_merges += other.trace_spine_merges;
-    trace_compactions += other.trace_compactions;
     shard_records += other.shard_records;
     for (const auto& [name, nanos] : other.op_nanos) {
       op_nanos[name] += nanos;
     }
   }
 
-  /// Canonical operator key: lower-cased, with any `@<digits>` shard suffix
-  /// stripped. "Join@3" and "join@0" both normalize to "join".
-  static std::string NormalizeOpName(std::string name) {
-    size_t at = name.rfind('@');
-    if (at != std::string::npos && at + 1 < name.size()) {
-      bool digits = true;
-      for (size_t i = at + 1; i < name.size(); ++i) {
-        if (name[i] < '0' || name[i] > '9') {
-          digits = false;
-          break;
-        }
-      }
-      if (digits) name.resize(at);
-    }
-    for (char& c : name) {
-      if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-    }
-    return name;
-  }
-
-  /// Per-operator wall time rolled up across shards: op_nanos with keys
-  /// normalized (shard suffixes stripped) and equal names summed.
+  /// Per-operator wall time rolled up across shards. Every shard keys
+  /// op_nanos by operator name, so the rollup is a copy of op_nanos.
   std::map<std::string, uint64_t> AggregatedOpNanos() const {
-    std::map<std::string, uint64_t> aggregated;
-    for (const auto& [name, nanos] : op_nanos) {
-      aggregated[NormalizeOpName(name)] += nanos;
-    }
-    return aggregated;
+    return op_nanos;
   }
 };
 
@@ -199,7 +154,6 @@ struct OperatorMemory {
   uint64_t trace_high_water_bytes = 0;
   uint64_t trace_reclaimed_bytes = 0;
   uint64_t trace_merges = 0;
-  uint64_t trace_compactions = 0;
 
   /// Folds one owned trace's accounting into this snapshot.
   template <typename Tr>
@@ -210,7 +164,6 @@ struct OperatorMemory {
     trace_high_water_bytes += trace.high_water_bytes();
     trace_reclaimed_bytes += trace.reclaimed_bytes();
     trace_merges += trace.num_merges();
-    trace_compactions += trace.num_compactions();
   }
 };
 
@@ -245,23 +198,14 @@ class OperatorBase {
   virtual void OnEpochSealed(uint32_t last_version) {}
 
   /// Stateful operators override this to attribute their resident memory
-  /// (owned traces, buffered input) into `out`. Called from SealPhase on
-  /// the shard's own thread (never concurrently with operator execution),
-  /// then folded into DataflowStats and the per-arrangement gauges.
+  /// (owned traces, buffered input) into `out`. Called once per seal, by
+  /// the seal walk on the shard's own thread (never concurrently with
+  /// operator execution).
   virtual void CollectMemory(OperatorMemory* out) const {}
 
   /// Returns and resets the wall time this operator spent in RunAt since
   /// the last call (folded into DataflowStats::op_nanos at each seal).
-  uint64_t TakeRunNanos() {
-    uint64_t nanos = run_nanos_;
-    total_run_nanos_ += nanos;
-    run_nanos_ = 0;
-    return nanos;
-  }
-
-  /// Cumulative wall time across the operator's lifetime (advanced by
-  /// TakeRunNanos at each seal; surfaced by /statusz).
-  uint64_t total_run_nanos() const { return total_run_nanos_; }
+  uint64_t TakeRunNanos() { return std::exchange(run_nanos_, 0); }
 
   /// Attributes extra wall time to this operator. The Dataflow uses this to
   /// charge OnStepBegin / OnVersionSealed work (input flushes, compaction)
@@ -283,11 +227,6 @@ class OperatorBase {
   /// Stateful operators override this to drain their ports at `time`.
   virtual void RunAt(const Time& time) {}
 
-  /// Records this operator as the owner of `publisher` (its output handle)
-  /// so Dataflow::GraphEdges can resolve subscriptions into operator →
-  /// operator channels for /statusz. Call once per output in the ctor.
-  void RegisterOutput(const void* publisher);
-
   Dataflow* dataflow_;
 
  private:
@@ -301,7 +240,6 @@ class OperatorBase {
   uint32_t order_ = 0;
   std::string name_;
   uint64_t run_nanos_ = 0;
-  uint64_t total_run_nanos_ = 0;
   MemoryGauges gauges_;
   std::set<Time, TimeLexLess> run_pending_;
 };
@@ -325,16 +263,12 @@ class InputPort {
     return batch;
   }
 
-  /// Updates currently buffered across all pending timestamps.
-  size_t buffered_updates() const {
-    size_t n = 0;
-    for (const auto& [time, batch] : buffers_) n += batch.size();
-    return n;
-  }
   /// Buffered payload bytes (record size × update count), for the
   /// queued-update memory accounting in /statusz.
   size_t buffered_bytes() const {
-    return buffered_updates() * sizeof(Update<D>);
+    size_t n = 0;
+    for (const auto& [time, batch] : buffers_) n += batch.size();
+    return n * sizeof(Update<D>);
   }
 
  private:
@@ -342,28 +276,20 @@ class InputPort {
 };
 
 /// Fan-out point owned by a producing operator. Publishing consolidates the
-/// batch and schedules one delivery event per subscriber.
+/// batch and hands it to every subscriber's callback.
 template <typename D>
 class Publisher {
  public:
   using Callback = std::function<void(const Time&, const Batch<D>&)>;
 
-  /// Subscribes `op_order`'s callback and records the (publisher →
-  /// consumer) channel in the dataflow's graph topology, so /statusz can
-  /// render operators and channels without walking live operator state.
-  /// Defined after Dataflow (it records the edge there).
-  void Subscribe(Dataflow* dataflow, uint32_t op_order, Callback callback);
+  void Subscribe(Callback callback) {
+    subscribers_.push_back(std::move(callback));
+  }
 
   void Publish(Dataflow* dataflow, const Time& time, Batch<D>&& batch);
 
  private:
-  struct Subscriber {
-    uint32_t op_order;
-    Callback callback;
-  };
-  // unique_ptr for address stability: scheduled events hold pointers to the
-  // callback while later Subscribe calls may grow the vector.
-  std::vector<std::unique_ptr<Subscriber>> subscribers_;
+  std::vector<Callback> subscribers_;
 };
 
 /// A lightweight handle to an operator's output. Copyable; valid as long as
@@ -477,58 +403,19 @@ class Dataflow {
     return static_cast<uint32_t>(registered_.size() - 1);
   }
 
-  // --- Graph topology (construction-time only; safe to read at scrape) ----
-
-  /// Records `owner` (an operator order) as the producer behind `publisher`.
-  void NotePublisher(const void* publisher, uint32_t owner) {
-    publisher_owner_[publisher] = owner;
-  }
-  /// Records a subscription of operator `consumer` to `publisher`.
-  void NoteSubscription(const void* publisher, uint32_t consumer) {
-    subscriptions_.emplace_back(publisher, consumer);
-  }
-
-  /// Resolved (producer order, consumer order) channels, deduplicated.
-  /// Subscriptions whose publisher was never registered through
-  /// RegisterOutput (none in-tree) are dropped.
-  std::vector<std::pair<uint32_t, uint32_t>> GraphEdges() const {
-    std::vector<std::pair<uint32_t, uint32_t>> edges;
-    edges.reserve(subscriptions_.size());
-    for (const auto& [publisher, consumer] : subscriptions_) {
-      auto it = publisher_owner_.find(publisher);
-      if (it != publisher_owner_.end()) {
-        edges.emplace_back(it->second, consumer);
-      }
-    }
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    return edges;
-  }
-
-  /// Point-in-time per-operator introspection record (see
-  /// CollectOperatorSnapshots).
+  /// One operator's state as of the last seal. The seal walk writes it on
+  /// the shard's own thread; a sharded coordinator copies it after the seal
+  /// barrier, so a scrape reads plain data, never operator state.
   struct OperatorSnapshot {
-    uint32_t order = 0;
     std::string name;
     OperatorMemory memory;
-    uint64_t total_run_nanos = 0;
+    uint64_t run_nanos = 0;  // cumulative, summed by the seal walk
   };
 
-  /// Collects one snapshot per operator. Must run on the thread that owns
-  /// this shard's phase (ShardedDataflow calls it after the SealPhase
-  /// barrier); the result is plain data, safe to hand to a scrape thread.
-  std::vector<OperatorSnapshot> CollectOperatorSnapshots() const {
-    std::vector<OperatorSnapshot> snapshots;
-    snapshots.reserve(registered_.size());
-    for (const OperatorBase* op : registered_) {
-      OperatorSnapshot snap;
-      snap.order = op->order();
-      snap.name = op->name();
-      op->CollectMemory(&snap.memory);
-      snap.total_run_nanos = op->total_run_nanos();
-      snapshots.push_back(std::move(snap));
-    }
-    return snapshots;
+  /// One row per operator, indexed by its order, refreshed by every
+  /// SealPhase and SealEpoch; empty before the first seal.
+  const std::vector<OperatorSnapshot>& sealed_snapshot() const {
+    return sealed_;
   }
 
   /// The version the next Step() will process.
@@ -601,46 +488,7 @@ class Dataflow {
   /// Phase 3: seal the version (trace compaction) and advance.
   void SealPhase() {
     GS_TRACE_SPAN_V("engine", "seal", version_);
-    for (OperatorBase* op : registered_) {
-      Timer timer;
-      op->OnVersionSealed(version_);
-      op->AddRunNanos(static_cast<uint64_t>(timer.Nanos()));
-      uint64_t nanos = op->TakeRunNanos();
-      if (nanos != 0) {
-        // Distinct keys per shard so ShardedDataflow::AggregatedStats keeps
-        // the per-shard breakdown (see DataflowStats::NormalizeOpName).
-        if (sharded()) {
-          stats_.op_nanos[op->name() + "@" + std::to_string(worker_index_)] +=
-              nanos;
-        } else {
-          stats_.op_nanos[op->name()] += nanos;
-        }
-      }
-    }
-    // The trace gauges, byte accounting, and cumulative spine counters are
-    // re-collected post-compaction from every operator's CollectMemory, so
-    // reset them first; per-arrangement registry gauges refresh alongside.
-    stats_.trace_entries = 0;
-    stats_.trace_spine_batches = 0;
-    stats_.trace_bytes = 0;
-    stats_.trace_high_water_bytes = 0;
-    stats_.trace_reclaimed_bytes = 0;
-    stats_.queued_update_bytes = 0;
-    stats_.trace_spine_merges = 0;
-    stats_.trace_compactions = 0;
-    for (OperatorBase* op : registered_) {
-      OperatorMemory memory;
-      op->CollectMemory(&memory);
-      stats_.trace_entries += memory.trace_entries;
-      stats_.trace_spine_batches += memory.trace_batches;
-      stats_.trace_bytes += memory.trace_bytes;
-      stats_.trace_high_water_bytes += memory.trace_high_water_bytes;
-      stats_.trace_reclaimed_bytes += memory.trace_reclaimed_bytes;
-      stats_.queued_update_bytes += memory.queued_bytes;
-      stats_.trace_spine_merges += memory.trace_merges;
-      stats_.trace_compactions += memory.trace_compactions;
-      op->UpdateMemoryGauges(memory);
-    }
+    SealOperators([this](OperatorBase* op) { op->OnVersionSealed(version_); });
     // Registry writes happen only here (per version, not per event), so the
     // hot scheduler loop stays metrics-free.
     static metrics::Counter* versions_sealed =
@@ -661,20 +509,8 @@ class Dataflow {
     GS_CHECK(version_ > 0) << "SealEpoch before any Step";
     uint32_t last_version = version_ - 1;
     GS_TRACE_SPAN_V("engine", "seal_epoch", last_version);
-    for (OperatorBase* op : registered_) {
-      Timer timer;
-      op->OnEpochSealed(last_version);
-      op->AddRunNanos(static_cast<uint64_t>(timer.Nanos()));
-      uint64_t nanos = op->TakeRunNanos();
-      if (nanos != 0) {
-        if (sharded()) {
-          stats_.op_nanos[op->name() + "@" + std::to_string(worker_index_)] +=
-              nanos;
-        } else {
-          stats_.op_nanos[op->name()] += nanos;
-        }
-      }
-    }
+    SealOperators(
+        [last_version](OperatorBase* op) { op->OnEpochSealed(last_version); });
     ++epochs_sealed_;
     static metrics::Counter* epochs_sealed =
         metrics::Registry::Global().GetCounter("gs_engine_epochs_sealed");
@@ -687,6 +523,40 @@ class Dataflow {
   size_t num_operators() const { return registered_.size(); }
 
  private:
+  /// The seal walk shared by SealPhase and SealEpoch, the one place
+  /// operator state is accounted: runs `seal` on each operator (its time
+  /// charged to the operator), takes the operator's time into op_nanos,
+  /// reads its memory once into the sealed snapshot, and from that row
+  /// refreshes the trace totals in stats_ and the per-arrangement gauges.
+  template <typename SealFn>
+  void SealOperators(SealFn seal) {
+    sealed_.resize(registered_.size());
+    stats_.trace_entries = 0;
+    stats_.trace_spine_batches = 0;
+    stats_.trace_bytes = 0;
+    stats_.trace_high_water_bytes = 0;
+    stats_.trace_spine_merges = 0;
+    for (size_t i = 0; i < registered_.size(); ++i) {
+      OperatorBase* op = registered_[i];
+      Timer timer;
+      seal(op);
+      op->AddRunNanos(static_cast<uint64_t>(timer.Nanos()));
+      const uint64_t nanos = op->TakeRunNanos();
+      if (nanos != 0) stats_.op_nanos[op->name()] += nanos;
+      OperatorSnapshot& row = sealed_[i];
+      row.name = op->name();
+      row.run_nanos += nanos;
+      row.memory = OperatorMemory();
+      op->CollectMemory(&row.memory);
+      stats_.trace_entries += row.memory.trace_entries;
+      stats_.trace_spine_batches += row.memory.trace_batches;
+      stats_.trace_bytes += row.memory.trace_bytes;
+      stats_.trace_high_water_bytes += row.memory.trace_high_water_bytes;
+      stats_.trace_spine_merges += row.memory.trace_merges;
+      op->UpdateMemoryGauges(row.memory);
+    }
+  }
+
   Status CheckEventCap() const {
     if (scheduler_.events_processed() - step_start_events_ >
         options_.max_events_per_version) {
@@ -715,12 +585,11 @@ class Dataflow {
   uint32_t next_exchange_channel_ = 0;
   uint64_t drain_nanos_ = 0;
   std::vector<std::function<bool()>> inbox_drainers_;
-  std::map<const void*, uint32_t> publisher_owner_;
-  std::vector<std::pair<const void*, uint32_t>> subscriptions_;
   Scheduler scheduler_;
   DataflowStats stats_;
   std::vector<std::unique_ptr<OperatorBase>> operators_;
   std::vector<OperatorBase*> registered_;
+  std::vector<OperatorSnapshot> sealed_;
   uint32_t version_ = 0;
   uint64_t step_start_events_ = 0;
   uint64_t epochs_sealed_ = 0;
@@ -737,10 +606,6 @@ inline OperatorBase::~OperatorBase() {
   // High-water and reclaimed are historical marks and are left standing.
   if (gauges_.bytes != nullptr) gauges_.bytes->Set(0);
   if (gauges_.batches != nullptr) gauges_.batches->Set(0);
-}
-
-inline void OperatorBase::RegisterOutput(const void* publisher) {
-  dataflow_->NotePublisher(publisher, order_);
 }
 
 inline void OperatorBase::UpdateMemoryGauges(const OperatorMemory& memory) {
@@ -768,14 +633,6 @@ inline void OperatorBase::UpdateMemoryGauges(const OperatorMemory& memory) {
   gauges_.reclaimed->Set(static_cast<int64_t>(memory.trace_reclaimed_bytes));
 }
 
-template <typename D>
-void Publisher<D>::Subscribe(Dataflow* dataflow, uint32_t op_order,
-                             Callback callback) {
-  dataflow->NoteSubscription(this, op_order);
-  subscribers_.push_back(
-      std::make_unique<Subscriber>(Subscriber{op_order, std::move(callback)}));
-}
-
 inline void OperatorBase::RequestRun(const Time& time) {
   if (!run_pending_.insert(time).second) return;
   dataflow_->scheduler().Schedule(time, order_, [this, time] {
@@ -797,13 +654,10 @@ void Publisher<D>::Publish(Dataflow* dataflow, const Time& time,
   Consolidate(&batch);
   if (batch.empty()) return;
   dataflow->stats().updates_published += batch.size();
-  dataflow->stats().batches_published += 1;
   // Synchronous fan-out: linear subscribers process (and re-publish)
   // immediately; stateful subscribers buffer into an InputPort and schedule
   // a RunAt through the scheduler.
-  for (const auto& sub : subscribers_) {
-    sub->callback(time, batch);
-  }
+  for (const Callback& callback : subscribers_) callback(time, batch);
 }
 
 /// An input: buffers updates between Steps and publishes them as one batch
@@ -811,9 +665,7 @@ void Publisher<D>::Publish(Dataflow* dataflow, const Time& time,
 template <typename D>
 class InputOp : public OperatorBase {
  public:
-  explicit InputOp(Dataflow* dataflow) : OperatorBase(dataflow, "input") {
-    RegisterOutput(&output_);
-  }
+  explicit InputOp(Dataflow* dataflow) : OperatorBase(dataflow, "input") {}
 
   /// Buffers an update for the next Step().
   void Send(D data, Diff diff) {

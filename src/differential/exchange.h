@@ -135,11 +135,9 @@ class ExchangeOp : public OperatorBase {
     GS_CHECK(dataflow->sharded()) << "ExchangeOp outside sharded execution";
     hub_->RegisterInbox(channel_, worker_, &inbox_);
     dataflow->RegisterInboxDrainer([this] { return DrainInbox(); });
-    RegisterOutput(&output_);
-    in.publisher()->Subscribe(dataflow, order(),
-                              [this](const Time& t, const Batch<D>& b) {
-                                Route(t, b);
-                              });
+    in.publisher()->Subscribe([this](const Time& t, const Batch<D>& b) {
+      Route(t, b);
+    });
   }
 
   Stream<D> stream() { return Stream<D>(dataflow_, &output_); }
@@ -160,7 +158,6 @@ class ExchangeOp : public OperatorBase {
         port_.Append(time, parts[w]);
         RequestRun(time);
       } else {
-        dataflow_->stats().exchanged_updates += parts[w].size();
         dataflow_->stats().exchanged_bytes +=
             parts[w].size() * sizeof(Update<D>);
         auto* peer = static_cast<ExchangeInbox<D>*>(hub_->inbox(channel_, w));

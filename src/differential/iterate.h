@@ -31,13 +31,10 @@ class EnterOp : public OperatorBase {
  public:
   EnterOp(Dataflow* dataflow, Stream<D> in)
       : OperatorBase(dataflow, "enter") {
-    RegisterOutput(&output_);
-    in.publisher()->Subscribe(dataflow, order(),
-                              [this](const Time& t, const Batch<D>& b) {
-                                Batch<D> copy = b;
-                                output_.Publish(dataflow_, t.Entered(),
-                                                std::move(copy));
-                              });
+    in.publisher()->Subscribe([this](const Time& t, const Batch<D>& b) {
+      Batch<D> copy = b;
+      output_.Publish(dataflow_, t.Entered(), std::move(copy));
+    });
   }
 
   Stream<D> stream() { return Stream<D>(dataflow_, &output_); }
@@ -55,11 +52,9 @@ class LeaveOp : public OperatorBase {
  public:
   LeaveOp(Dataflow* dataflow, Stream<D> in)
       : OperatorBase(dataflow, "leave") {
-    RegisterOutput(&output_);
-    in.publisher()->Subscribe(dataflow, order(),
-                              [this](const Time& t, const Batch<D>& b) {
-                                OnInput(t, b);
-                              });
+    in.publisher()->Subscribe([this](const Time& t, const Batch<D>& b) {
+      OnInput(t, b);
+    });
   }
 
   Stream<D> stream() { return Stream<D>(dataflow_, &output_); }
@@ -116,28 +111,24 @@ template <typename D>
 class FeedbackOp : public OperatorBase {
  public:
   FeedbackOp(Dataflow* dataflow, uint32_t max_iterations)
-      : OperatorBase(dataflow, "feedback"), max_iterations_(max_iterations) {
-    RegisterOutput(&output_);
-  }
+      : OperatorBase(dataflow, "feedback"), max_iterations_(max_iterations) {}
 
   Stream<D> stream() { return Stream<D>(dataflow_, &output_); }
 
   void ConnectForward(Stream<D> in) {
-    in.publisher()->Subscribe(dataflow_, order(),
-                              [this](const Time& t, const Batch<D>& b) {
-                                port_.Append(t, b);
-                                RequestRun(t);
-                              });
+    in.publisher()->Subscribe([this](const Time& t, const Batch<D>& b) {
+      port_.Append(t, b);
+      RequestRun(t);
+    });
   }
 
   void ConnectNegated(Stream<D> in) {
-    in.publisher()->Subscribe(dataflow_, order(),
-                              [this](const Time& t, const Batch<D>& b) {
-                                Batch<D> negated = b;
-                                for (Update<D>& u : negated) u.diff = -u.diff;
-                                port_.Append(t, negated);
-                                RequestRun(t);
-                              });
+    in.publisher()->Subscribe([this](const Time& t, const Batch<D>& b) {
+      Batch<D> negated = b;
+      for (Update<D>& u : negated) u.diff = -u.diff;
+      port_.Append(t, negated);
+      RequestRun(t);
+    });
   }
 
   void CollectMemory(OperatorMemory* out) const override {

@@ -24,15 +24,12 @@ class JoinOp : public OperatorBase {
   JoinOp(Dataflow* dataflow, Stream<std::pair<K, V1>> left,
          Stream<std::pair<K, V2>> right, Fn fn)
       : OperatorBase(dataflow, "join"), fn_(std::move(fn)) {
-    RegisterOutput(&output_);
     left.publisher()->Subscribe(
-        dataflow, order(),
         [this](const Time& t, const Batch<std::pair<K, V1>>& b) {
           left_port_.Append(t, b);
           RequestRun(t);
         });
     right.publisher()->Subscribe(
-        dataflow, order(),
         [this](const Time& t, const Batch<std::pair<K, V2>>& b) {
           right_port_.Append(t, b);
           RequestRun(t);

@@ -15,11 +15,9 @@ class MapOp : public OperatorBase {
  public:
   MapOp(Dataflow* dataflow, Stream<In> in, Fn fn)
       : OperatorBase(dataflow, "map"), fn_(std::move(fn)) {
-    RegisterOutput(&output_);
-    in.publisher()->Subscribe(dataflow, order(),
-                              [this](const Time& t, const Batch<In>& b) {
-                                OnInput(t, b);
-                              });
+    in.publisher()->Subscribe([this](const Time& t, const Batch<In>& b) {
+      OnInput(t, b);
+    });
   }
 
   Stream<Out> stream() { return Stream<Out>(dataflow_, &output_); }
@@ -43,11 +41,9 @@ class FilterOp : public OperatorBase {
  public:
   FilterOp(Dataflow* dataflow, Stream<D> in, Fn fn)
       : OperatorBase(dataflow, "filter"), fn_(std::move(fn)) {
-    RegisterOutput(&output_);
-    in.publisher()->Subscribe(dataflow, order(),
-                              [this](const Time& t, const Batch<D>& b) {
-                                OnInput(t, b);
-                              });
+    in.publisher()->Subscribe([this](const Time& t, const Batch<D>& b) {
+      OnInput(t, b);
+    });
   }
 
   Stream<D> stream() { return Stream<D>(dataflow_, &output_); }
@@ -72,11 +68,9 @@ class FlatMapOp : public OperatorBase {
  public:
   FlatMapOp(Dataflow* dataflow, Stream<In> in, Fn fn)
       : OperatorBase(dataflow, "flat_map"), fn_(std::move(fn)) {
-    RegisterOutput(&output_);
-    in.publisher()->Subscribe(dataflow, order(),
-                              [this](const Time& t, const Batch<In>& b) {
-                                OnInput(t, b);
-                              });
+    in.publisher()->Subscribe([this](const Time& t, const Batch<In>& b) {
+      OnInput(t, b);
+    });
   }
 
   Stream<Out> stream() { return Stream<Out>(dataflow_, &output_); }
@@ -109,9 +103,7 @@ class WeighOp : public OperatorBase {
  public:
   WeighOp(Dataflow* dataflow, Stream<std::pair<K, V>> in, Fn weight)
       : OperatorBase(dataflow, "weigh"), weight_(std::move(weight)) {
-    RegisterOutput(&output_);
     in.publisher()->Subscribe(
-        dataflow, order(),
         [this](const Time& t, const Batch<std::pair<K, V>>& b) {
           OnInput(t, b);
         });
@@ -148,9 +140,8 @@ class ConcatOp : public OperatorBase {
       Batch<D> copy = batch;
       output_.Publish(dataflow_, t, std::move(copy));
     };
-    RegisterOutput(&output_);
-    a.publisher()->Subscribe(dataflow, order(), forward);
-    b.publisher()->Subscribe(dataflow, order(), forward);
+    a.publisher()->Subscribe(forward);
+    b.publisher()->Subscribe(forward);
   }
 
   Stream<D> stream() { return Stream<D>(dataflow_, &output_); }
@@ -164,13 +155,11 @@ class NegateOp : public OperatorBase {
  public:
   NegateOp(Dataflow* dataflow, Stream<D> in)
       : OperatorBase(dataflow, "negate") {
-    RegisterOutput(&output_);
-    in.publisher()->Subscribe(dataflow, order(),
-                              [this](const Time& t, const Batch<D>& b) {
-                                Batch<D> out = b;
-                                for (Update<D>& u : out) u.diff = -u.diff;
-                                output_.Publish(dataflow_, t, std::move(out));
-                              });
+    in.publisher()->Subscribe([this](const Time& t, const Batch<D>& b) {
+      Batch<D> out = b;
+      for (Update<D>& u : out) u.diff = -u.diff;
+      output_.Publish(dataflow_, t, std::move(out));
+    });
   }
 
   Stream<D> stream() { return Stream<D>(dataflow_, &output_); }
@@ -186,13 +175,11 @@ class InspectOp : public OperatorBase {
   InspectOp(Dataflow* dataflow, Stream<D> in,
             std::function<void(const Time&, const Batch<D>&)> fn)
       : OperatorBase(dataflow, "inspect"), fn_(std::move(fn)) {
-    RegisterOutput(&output_);
-    in.publisher()->Subscribe(dataflow, order(),
-                              [this](const Time& t, const Batch<D>& b) {
-                                fn_(t, b);
-                                Batch<D> copy = b;
-                                output_.Publish(dataflow_, t, std::move(copy));
-                              });
+    in.publisher()->Subscribe([this](const Time& t, const Batch<D>& b) {
+      fn_(t, b);
+      Batch<D> copy = b;
+      output_.Publish(dataflow_, t, std::move(copy));
+    });
   }
 
   Stream<D> stream() { return Stream<D>(dataflow_, &output_); }
@@ -209,13 +196,11 @@ class CaptureOp : public OperatorBase {
  public:
   CaptureOp(Dataflow* dataflow, Stream<D> in)
       : OperatorBase(dataflow, "capture") {
-    in.publisher()->Subscribe(dataflow, order(),
-                              [this](const Time& t, const Batch<D>& b) {
-                                GS_CHECK(t.depth == 0)
-                                    << "Capture inside a loop scope";
-                                Batch<D>& sink = versions_[t.version];
-                                sink.insert(sink.end(), b.begin(), b.end());
-                              });
+    in.publisher()->Subscribe([this](const Time& t, const Batch<D>& b) {
+      GS_CHECK(t.depth == 0) << "Capture inside a loop scope";
+      Batch<D>& sink = versions_[t.version];
+      sink.insert(sink.end(), b.begin(), b.end());
+    });
   }
 
   void OnVersionSealed(uint32_t version) override {

@@ -81,9 +81,7 @@ class ReduceOp : public OperatorBase {
       : OperatorBase(dataflow, "reduce"),
         fn_(std::move(fn)),
         input_(&owned_input_) {
-    RegisterOutput(&output_);
     in.publisher()->Subscribe(
-        dataflow, order(),
         [this](const Time& t, const Batch<std::pair<K, V>>& b) {
           port_.Append(t, b);
           RequestRun(t);
@@ -95,9 +93,7 @@ class ReduceOp : public OperatorBase {
         fn_(std::move(fn)),
         input_(in.trace()) {
     dataflow->stats().arrangement_shares++;
-    RegisterOutput(&output_);
     in.deltas().publisher()->Subscribe(
-        dataflow, order(),
         [this](const Time& t, const Batch<std::pair<K, V>>& b) {
           port_.Append(t, b);
           RequestRun(t);
@@ -162,9 +158,9 @@ class ReduceOp : public OperatorBase {
     out->AddTrace(output_trace_);
     // The KeyState histories are the reduce's history at depth ≤ 1, so they
     // count as trace bytes (not as trace entries or batches, which are
-    // Trace rows). Their size is maintained incrementally — SealPhase calls
-    // this every version, so walking the whole key map here would dwarf the
-    // work being measured. The small per-key accumulations are not counted.
+    // Trace rows). Their size is maintained incrementally — every seal
+    // calls this, so walking the whole key map here would dwarf the work
+    // being measured. The small per-key accumulations are not counted.
     out->trace_bytes += states_bytes_;
     out->trace_high_water_bytes += states_high_water_bytes_;
     out->queued_bytes += port_.buffered_bytes();

@@ -110,13 +110,9 @@ class ShardedDataflow {
     std::vector<char> has_pending(w, 0);
     std::vector<Time> min_pending(w);
     {
-      // Graph topology is construction-time state and the builder has run
-      // by the first Step; capture it once. The small per-step fields are
-      // refreshed under the same mutex the scrape producer takes.
       std::lock_guard<std::mutex> lock(status_mutex_);
       status_.version = current_version();
       status_.stepping = true;
-      if (status_.edges.empty()) status_.edges = workers_[0]->GraphEdges();
     }
     profile_->BlockBegin();
     pool_->ParallelFor(w, [&](size_t i) {
@@ -216,27 +212,17 @@ class ShardedDataflow {
       profile_->AddSeal(i, sched::ProfileNow() - t0);
     });
     profile_->BlockEnd();
-    // Post-seal barrier: every shard is idle, so per-operator memory and
-    // timing snapshots can be collected without racing operator execution.
     {
-      std::vector<ShardOperatorStatus> ops;
-      for (size_t i = 0; i < w; ++i) {
-        for (auto& snap : workers_[i]->CollectOperatorSnapshots()) {
-          ops.push_back(ShardOperatorStatus{i, std::move(snap)});
-        }
-      }
-      std::vector<uint64_t> events = PerWorkerEvents();
       std::lock_guard<std::mutex> lock(status_mutex_);
-      status_.ops = std::move(ops);
-      status_.per_worker_events = std::move(events);
+      CopySealedRows();
       status_.version = current_version();
       status_.stepping = false;
       status_.frontier_valid = false;
       status_.records_outstanding = 0;
     }
     outstanding_gauge->Set(0);
-    // Close the attribution window (the snapshot collection above lands in
-    // the final idle gap) and feed the skew inputs collected post-barrier.
+    // Close the attribution window (the row copy above lands in the final
+    // idle gap) and feed the skew inputs collected post-barrier.
     profile_->StepEnd(CollectStepInputs());
     return Status::Ok();
   }
@@ -244,7 +230,8 @@ class ShardedDataflow {
   /// Seals a graph-update epoch on every shard (full spine compaction; see
   /// Dataflow::SealEpoch). Call between Steps, after the last version of the
   /// epoch was stepped. The barrier semantics match SealPhase: no shard is
-  /// running when this executes, and snapshots refresh afterwards.
+  /// running when this executes, and its seal walk refreshes the stats,
+  /// the arrangement gauges and the /statusz rows.
   void SealEpoch() {
     // Epoch seals get their own attribution window (they run between Step
     // windows), so full-spine compaction shows up as seal time, not as a
@@ -259,12 +246,6 @@ class ShardedDataflow {
       profile_->AddSeal(i, sched::ProfileNow() - t0);
     });
     profile_->BlockEnd();
-    std::vector<ShardOperatorStatus> ops;
-    for (size_t i = 0; i < w; ++i) {
-      for (auto& snap : workers_[i]->CollectOperatorSnapshots()) {
-        ops.push_back(ShardOperatorStatus{i, std::move(snap)});
-      }
-    }
     // Against gs_graph_epoch, a scraper's measure of whether the engine
     // keeps up with ingest.
     static metrics::Gauge* last_sealed =
@@ -272,7 +253,7 @@ class ShardedDataflow {
     last_sealed->Set(static_cast<int64_t>(workers_[0]->epochs_sealed()));
     {
       std::lock_guard<std::mutex> lock(status_mutex_);
-      status_.ops = std::move(ops);
+      CopySealedRows();
       status_.epochs_sealed = workers_[0]->epochs_sealed();
     }
     profile_->StepEnd(CollectStepInputs());
@@ -305,12 +286,11 @@ class ShardedDataflow {
   }
 
   /// Renders the current status snapshot as one JSON object: execution
-  /// state (version, frontier, rounds, records outstanding), per-operator
-  /// memory/timing attribution, the operator→operator channels, a Graphviz
-  /// DOT rendering of the worker-0 graph, and under "sched" the per-worker
-  /// time attribution (StepProfile::RenderJson). Safe to call from any
-  /// thread at any time — it only reads the snapshot refreshed at phase
-  /// barriers and the profile's snapshot folded at step ends.
+  /// state (version, frontier, rounds, records outstanding), one row per
+  /// (shard, operator) from the last seal walk, and under "sched" the
+  /// per-worker time attribution (StepProfile::RenderJson). Safe to call
+  /// from any thread at any time — it only reads the snapshot refreshed at
+  /// phase barriers and the profile's snapshot folded at step ends.
   std::string RenderStatusJson() const {
     StatusSnapshot snap;
     {
@@ -318,7 +298,7 @@ class ShardedDataflow {
       snap = status_;
     }
     std::string out = "{";
-    char buf[192];
+    char buf[448];
     std::snprintf(buf, sizeof(buf),
                   "\"workers\": %zu, \"version\": %u, \"stepping\": %s",
                   workers_.size(), snap.version,
@@ -342,56 +322,36 @@ class ShardedDataflow {
                   static_cast<unsigned long long>(snap.records_outstanding),
                   static_cast<unsigned long long>(snap.epochs_sealed));
     out += buf;
-    out += ", \"per_worker_events\": [";
-    for (size_t i = 0; i < snap.per_worker_events.size(); ++i) {
-      if (i) out += ", ";
-      out += std::to_string(snap.per_worker_events[i]);
+    out += ", \"operators\": [";
+    bool first = true;
+    for (size_t shard = 0; shard < snap.rows.size(); ++shard) {
+      for (size_t slot = 0; slot < snap.rows[shard].size(); ++slot) {
+        const Dataflow::OperatorSnapshot& op = snap.rows[shard][slot];
+        std::snprintf(
+            buf, sizeof(buf),
+            "%s{\"shard\": %zu, \"slot\": %zu, \"name\": \"%s\", "
+            "\"queued_bytes\": %llu, \"trace_bytes\": %llu, "
+            "\"trace_batches\": %llu, \"trace_high_water_bytes\": %llu, "
+            "\"trace_reclaimed_bytes\": %llu, \"run_nanos\": %llu}",
+            first ? "" : ", ", shard, slot,
+            introspect::JsonEscape(op.name).c_str(),
+            static_cast<unsigned long long>(op.memory.queued_bytes),
+            static_cast<unsigned long long>(op.memory.trace_bytes),
+            static_cast<unsigned long long>(op.memory.trace_batches),
+            static_cast<unsigned long long>(op.memory.trace_high_water_bytes),
+            static_cast<unsigned long long>(op.memory.trace_reclaimed_bytes),
+            static_cast<unsigned long long>(op.run_nanos));
+        out += buf;
+        first = false;
+      }
     }
-    out += "], \"operators\": [";
-    for (size_t i = 0; i < snap.ops.size(); ++i) {
-      const ShardOperatorStatus& op = snap.ops[i];
-      if (i) out += ", ";
-      out += "{\"shard\": " + std::to_string(op.shard) +
-             ", \"slot\": " + std::to_string(op.snap.order) + ", \"name\": \"" +
-             introspect::JsonEscape(op.snap.name) + "\"";
-      std::snprintf(
-          buf, sizeof(buf),
-          ", \"queued_bytes\": %llu, \"trace_bytes\": %llu, "
-          "\"trace_batches\": %llu",
-          static_cast<unsigned long long>(op.snap.memory.queued_bytes),
-          static_cast<unsigned long long>(op.snap.memory.trace_bytes),
-          static_cast<unsigned long long>(op.snap.memory.trace_batches));
-      out += buf;
-      std::snprintf(
-          buf, sizeof(buf),
-          ", \"trace_high_water_bytes\": %llu, "
-          "\"trace_reclaimed_bytes\": %llu, \"run_nanos\": %llu}",
-          static_cast<unsigned long long>(
-              op.snap.memory.trace_high_water_bytes),
-          static_cast<unsigned long long>(op.snap.memory.trace_reclaimed_bytes),
-          static_cast<unsigned long long>(op.snap.total_run_nanos));
-      out += buf;
-    }
-    out += "], \"channels\": [";
-    for (size_t i = 0; i < snap.edges.size(); ++i) {
-      std::snprintf(buf, sizeof(buf), "%s[%u, %u]", i ? ", " : "",
-                    snap.edges[i].first, snap.edges[i].second);
-      out += buf;
-    }
-    out += "], \"dot\": \"";
-    out += introspect::JsonEscape(RenderDot(snap));
-    out += "\", \"sched\": ";
+    out += "], \"sched\": ";
     out += profile_->RenderJson();
     out += "}";
     return out;
   }
 
  private:
-  struct ShardOperatorStatus {
-    size_t shard = 0;
-    Dataflow::OperatorSnapshot snap;
-  };
-
   /// Point-in-time execution state, refreshed at Step's phase barriers and
   /// copied (under status_mutex_) by the scrape producer.
   struct StatusSnapshot {
@@ -402,30 +362,17 @@ class ShardedDataflow {
     uint64_t frontier_rounds = 0;
     uint64_t records_outstanding = 0;
     uint64_t epochs_sealed = 0;
-    std::vector<uint64_t> per_worker_events;
-    std::vector<ShardOperatorStatus> ops;
-    std::vector<std::pair<uint32_t, uint32_t>> edges;  // worker-0 topology
+    /// Each shard's sealed_snapshot(), indexed by shard.
+    std::vector<std::vector<Dataflow::OperatorSnapshot>> rows;
   };
 
-  /// Graphviz digraph of the worker-0 operator graph, labeled with the
-  /// latest memory attribution.
-  static std::string RenderDot(const StatusSnapshot& snap) {
-    std::string dot = "digraph dataflow {\n  rankdir=LR;\n";
-    for (const ShardOperatorStatus& op : snap.ops) {
-      if (op.shard != 0) continue;
-      dot += "  n" + std::to_string(op.snap.order) + " [label=\"" +
-             op.snap.name + " #" + std::to_string(op.snap.order);
-      if (op.snap.memory.trace_bytes > 0) {
-        dot += "\\n" + std::to_string(op.snap.memory.trace_bytes) + "B";
-      }
-      dot += "\"];\n";
+  /// Copies every shard's seal-walk rows into status_. Call with
+  /// status_mutex_ held, after a seal barrier (no shard is running).
+  void CopySealedRows() {
+    status_.rows.resize(workers_.size());
+    for (size_t i = 0; i < workers_.size(); ++i) {
+      status_.rows[i] = workers_[i]->sealed_snapshot();
     }
-    for (const auto& [from, to] : snap.edges) {
-      dot += "  n" + std::to_string(from) + " -> n" + std::to_string(to) +
-             ";\n";
-    }
-    dot += "}\n";
-    return dot;
   }
 
   static DataflowOptions FixupOptions(DataflowOptions options) {

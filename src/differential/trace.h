@@ -375,12 +375,10 @@ class Trace {
   /// a cancelled or merged entry, wherever it happened).
   uint64_t reclaimed_bytes() const { return entries_reclaimed_ * kEntryBytes; }
 
-  /// Cumulative spine-maintenance counters: pairwise batch merges performed
-  /// (geometric invariant restores plus full-compaction passes) and
-  /// full-spine compaction passes run by CompactTo. Trace-owning operators
-  /// re-report these into DataflowStats at each seal.
+  /// Cumulative pairwise batch merges performed (geometric invariant
+  /// restores plus full-compaction passes). Trace-owning operators
+  /// re-report it into DataflowStats at each seal.
   uint64_t num_merges() const { return num_merges_; }
-  uint64_t num_compactions() const { return num_compactions_; }
 
   /// Seeds an empty trace with an immutable shared snapshot (the
   /// process-level arrangement cache, arrcache.h). The snapshot must be
@@ -477,7 +475,6 @@ class Trace {
   void FullMerge() {
     Timer compaction_timer;
     inserts_since_compaction_ = 0;
-    ++num_compactions_;
     while (spine_.size() > 1) {
       SpineBatch b = std::move(spine_.back());
       spine_.pop_back();
@@ -780,7 +777,6 @@ class Trace {
   size_t inserts_since_compaction_ = 0;
   uint64_t insert_seq_ = 0;  // cumulative inserts; drives the fuzz hooks
   uint64_t num_merges_ = 0;
-  uint64_t num_compactions_ = 0;
   uint32_t sealed_version_ = 0;
 };
 

@@ -32,8 +32,9 @@
 //   /metrics    Prometheus exposition text (metrics registry)
 //   /tracez     newest trace_event spans per thread, Chrome trace JSON
 //   /statusz    every registered introspection source: each running
-//               dataflow publishes its operator/channel/frontier snapshot
-//               and, under "sched", its per-worker time attribution
+//               dataflow publishes its frontier and per-operator rows from
+//               its last seal and, under "sched", its per-worker time
+//               attribution
 //   /           plain-text index of the registered pages
 // More pages (the api layer's /profilez, the query front end's /sessionz)
 // are registered via Handle(), POST routes via HandlePost(). A POST to a

@@ -67,8 +67,8 @@ struct ViewRunStats {
   uint64_t estimated_diffs = 0;
   /// Wall time per operator spent computing this view: the delta of the
   /// engine's op_nanos over this view's Step(), rolled up across worker
-  /// shards (DataflowStats::AggregatedOpNanos). Keys are normalized
-  /// operator names ("join", "reduce", ...).
+  /// shards (DataflowStats::AggregatedOpNanos). Keys are operator names
+  /// ("join", "reduce", ...).
   std::map<std::string, uint64_t> op_nanos;
 };
 

@@ -11,7 +11,10 @@
 //      entries alike), which is partition-independent once a
 //      single-version workload is fully compacted;
 //   5. reduces outside nested loops write trace rows only when their
-//      output is shared as an arrangement.
+//      output is shared as an arrangement;
+//   6. after every seal — a version's or an epoch's — DataflowStats, the
+//      gs_arrangement_bytes gauges and the /statusz rows report the same
+//      trace bytes, because one seal walk fills all three.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -24,6 +27,7 @@
 #include "common/metrics.h"
 #include "common/random.h"
 #include "differential/differential.h"
+#include "json_lite.h"
 
 namespace gs::differential {
 namespace {
@@ -130,12 +134,9 @@ TEST(ArrangementGaugesTest, HighWaterDominatesLiveOnEveryStep) {
     SendRandom(&harness, &rng, 300, /*retracts=*/version > 0);
     ASSERT_TRUE(harness.Step().ok());
     for (size_t w = 0; w < harness.dataflow().num_workers(); ++w) {
-      for (const auto& snap :
-           harness.dataflow().worker(w)->CollectOperatorSnapshots()) {
-        EXPECT_GE(snap.memory.trace_high_water_bytes,
-                  snap.memory.trace_bytes)
-            << "op " << snap.name << " shard " << w << " version "
-            << version;
+      for (const auto& row : harness.dataflow().worker(w)->sealed_snapshot()) {
+        EXPECT_GE(row.memory.trace_high_water_bytes, row.memory.trace_bytes)
+            << "op " << row.name << " shard " << w << " version " << version;
       }
     }
   }
@@ -202,6 +203,61 @@ TEST(ArrangementGaugesTest, SerialTraceBytesEqualSumOfShards) {
     ASSERT_GT(manual, 0u);
     if (workers == 1) manual_serial = manual;
     EXPECT_EQ(manual, manual_serial) << "W=" << workers;
+  }
+}
+
+/// Sums `trace_bytes` over every operator row of a rendered /statusz
+/// dataflow source.
+uint64_t SumStatuszTraceBytes(const std::string& json) {
+  json_lite::Value root;
+  std::string error;
+  EXPECT_TRUE(json_lite::Parse(json, &root, &error)) << error;
+  const json_lite::Value* ops = root.Get("operators");
+  EXPECT_TRUE(ops != nullptr && ops->is_array()) << json;
+  if (ops == nullptr || !ops->is_array()) return 0;
+  uint64_t sum = 0;
+  for (const json_lite::Value& op : ops->array) {
+    sum += static_cast<uint64_t>(op.Get("trace_bytes")->number);
+  }
+  return sum;
+}
+
+// The three accounts of operator state agree after every seal. An epoch
+// seal compacts full spines, so it is where an account refreshed at some
+// other point would still show the pre-compaction bytes.
+TEST(ArrangementGaugesTest, StatsGaugesAndStatuszAgreeAfterEverySeal) {
+  auto& registry = metrics::Registry::Global();
+  for (size_t workers : {size_t{1}, size_t{2}}) {
+    ArrangementHarness harness(workers);
+    ShardedDataflow& dataflow = harness.dataflow();
+    // Checks the three accounts at (epoch, step); step -1 is the epoch seal.
+    auto expect_one_account = [&](int epoch, int step) {
+      const uint64_t stats = dataflow.AggregatedStats().trace_bytes;
+      EXPECT_GT(stats, 0u) << "W=" << workers << " epoch " << epoch
+                           << " step " << step;
+      EXPECT_EQ(SumFamily(registry.ExpositionText(), "gs_arrangement_bytes"),
+                stats)
+          << "W=" << workers << " epoch " << epoch << " step " << step;
+      EXPECT_EQ(SumStatuszTraceBytes(dataflow.RenderStatusJson()), stats)
+          << "W=" << workers << " epoch " << epoch << " step " << step;
+      return stats;
+    };
+    Rng rng(5);
+    bool compacted = false;
+    for (int epoch = 0; epoch < 2; ++epoch) {
+      uint64_t before = 0;
+      for (int step = 0; step < 4; ++step) {
+        SendRandom(&harness, &rng, 300, /*retracts=*/epoch + step > 0);
+        ASSERT_TRUE(harness.Step().ok());
+        before = expect_one_account(epoch, step);
+      }
+      dataflow.SealEpoch();
+      const uint64_t after = expect_one_account(epoch, -1);
+      EXPECT_LE(after, before);
+      compacted = compacted || after < before;
+    }
+    // The epoch seals reclaimed bytes, so a stale account would differ.
+    EXPECT_TRUE(compacted) << "W=" << workers;
   }
 }
 
@@ -272,18 +328,19 @@ TEST(ReduceHistoryTest, ShallowReducesWriteOnlySharedTraces) {
         << "version " << version;
 
     size_t reduces = 0;
-    for (const auto& snap : dataflow.CollectOperatorSnapshots()) {
-      if (snap.name != "reduce") continue;
+    const auto& rows = dataflow.sealed_snapshot();
+    for (size_t op = 0; op < rows.size(); ++op) {
+      if (rows[op].name != "reduce") continue;
       ++reduces;
-      const OperatorMemory& memory = snap.memory;
-      EXPECT_GT(memory.trace_bytes, 0u) << "op " << snap.order;
+      const OperatorMemory& memory = rows[op].memory;
+      EXPECT_GT(memory.trace_bytes, 0u) << "op " << op;
       EXPECT_GE(memory.trace_high_water_bytes, memory.trace_bytes)
-          << "op " << snap.order;
-      if (snap.order >= arranged_begin && snap.order < arranged_end) {
+          << "op " << op;
+      if (op >= arranged_begin && op < arranged_end) {
         EXPECT_GT(memory.trace_entries, 0u) << "DistinctArranged output";
       } else {
 #if !GRAPHSURGE_PARANOID  // paranoid builds keep shadow traces
-        EXPECT_EQ(memory.trace_entries, 0u) << "op " << snap.order;
+        EXPECT_EQ(memory.trace_entries, 0u) << "op " << op;
 #endif
       }
     }
