@@ -448,14 +448,8 @@ StatusOr<views::ExecutionResult> Graphsurge::RunCollection(
 }
 
 std::string Graphsurge::Profile() const {
-  std::string report;
-  {
-    std::lock_guard<std::mutex> lock(run_state_mutex_);
-    report = last_run_profile_;
-  }
-  report += "\n";
-  report += metrics::Registry::Global().ExpositionText();
-  return report;
+  std::lock_guard<std::mutex> lock(run_state_mutex_);
+  return last_run_profile_;
 }
 
 Status Graphsurge::StartStatusServer(uint16_t port) {

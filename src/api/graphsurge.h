@@ -160,9 +160,7 @@ class Graphsurge {
 
   /// Profiling report of the most recent RunComputation on this system:
   /// the per-view × per-operator wall-time table
-  /// (views::ExecutionResult::Profile) followed by a snapshot of the global
-  /// metrics registry in Prometheus exposition format. Empty-table header
-  /// only before the first run.
+  /// (views::ExecutionResult::Profile). Empty before the first run.
   std::string Profile() const;
 
   /// Renders the optimizer's plan for a materialized collection: chosen

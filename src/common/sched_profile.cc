@@ -208,20 +208,6 @@ void StepProfile::StepEnd(const StepInputs& inputs) {
     recent_.push_back(std::move(record));
     while (recent_.size() > kRecentVersions) recent_.pop_front();
   }
-
-  // Gauges are last-writer-wins across dataflows — the freshest run is the
-  // one being debugged. Milli-units: Gauge holds integers.
-  metrics::Registry& registry = metrics::Registry::Global();
-  static metrics::Gauge* ratio_gauge =
-      registry.GetGauge("gs_sched_skew_ratio_milli");
-  static metrics::Gauge* event_ratio_gauge =
-      registry.GetGauge("gs_sched_event_skew_ratio_milli");
-  if (record_skew > 0.0) {
-    ratio_gauge->Set(static_cast<int64_t>(record_skew * 1000));
-  }
-  if (event_skew > 0.0) {
-    event_ratio_gauge->Set(static_cast<int64_t>(event_skew * 1000));
-  }
 }
 
 StepProfile::Snapshot StepProfile::GetSnapshot() const {

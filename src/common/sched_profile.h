@@ -23,8 +23,8 @@
 // maintained by keyed operators at join/reduce boundaries) and per-worker
 // scheduler event counts each feed a skew figure, their max/mean ratio
 // (1.0 = perfectly balanced; the ratio bounds achievable speedup),
-// published as registry gauges, so a slow sharded run and a skewed one are
-// distinguishable.
+// rendered in the dataflow's "skew" block, so a slow sharded run and a
+// skewed one are distinguishable.
 //
 // Thread model: the coordinator (the thread driving Step) calls StepBegin /
 // BlockBegin / BlockEnd / StepEnd; worker w calls AddBusy/AddExchange/
@@ -126,7 +126,7 @@ class StepProfile {
   void BlockEnd();
   /// Closes the step window: charges the final gap to idle, folds the
   /// step's attribution into the lifetime totals and the recent-version
-  /// ring, refreshes skew gauges, and bumps the registry counters.
+  /// ring and the skew figures, and bumps the registry counters.
   void StepEnd(const StepInputs& inputs);
 
   // --- Worker-side, only inside a block, only slot `w`'s thread ----------

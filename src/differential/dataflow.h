@@ -213,11 +213,12 @@ class OperatorBase {
   /// for (nearly) all engine time, not just RunAt.
   void AddRunNanos(uint64_t nanos) { run_nanos_ += nanos; }
 
-  /// Refreshes this operator's per-arrangement registry gauges from a
-  /// memory snapshot. Gauges are created lazily on the first snapshot with
-  /// any trace footprint (linear operators never allocate any); the
-  /// destructor zeroes the live gauges so torn-down dataflows stop
-  /// claiming memory in /statusz and /metrics.
+  /// Moves this operator's share of the per-arrangement registry gauges to
+  /// a memory snapshot by adding the change since its last report, so
+  /// dataflows whose operators share a {op, shard, slot} series sum. Gauges
+  /// are created lazily on the first snapshot with any trace footprint
+  /// (linear operators never allocate any); the destructor takes the last
+  /// report back out, so a torn-down dataflow stops claiming memory.
   void UpdateMemoryGauges(const OperatorMemory& memory);
 
  protected:
@@ -233,8 +234,9 @@ class OperatorBase {
   struct MemoryGauges {
     metrics::Gauge* bytes = nullptr;
     metrics::Gauge* batches = nullptr;
-    metrics::Gauge* high_water = nullptr;
-    metrics::Gauge* reclaimed = nullptr;
+    // This operator's last report, which the series above include.
+    int64_t reported_bytes = 0;
+    int64_t reported_batches = 0;
   };
 
   uint32_t order_ = 0;
@@ -601,11 +603,11 @@ inline OperatorBase::OperatorBase(Dataflow* dataflow, std::string name)
 }
 
 inline OperatorBase::~OperatorBase() {
-  // Zero the live gauges so a torn-down dataflow stops claiming resident
-  // memory (satellite invariant: gauges return to zero after teardown).
-  // High-water and reclaimed are historical marks and are left standing.
-  if (gauges_.bytes != nullptr) gauges_.bytes->Set(0);
-  if (gauges_.batches != nullptr) gauges_.batches->Set(0);
+  // Take this operator's share back out, so the gauges return to zero once
+  // every dataflow is torn down.
+  if (gauges_.bytes == nullptr) return;
+  gauges_.bytes->Add(-gauges_.reported_bytes);
+  gauges_.batches->Add(-gauges_.reported_batches);
 }
 
 inline void OperatorBase::UpdateMemoryGauges(const OperatorMemory& memory) {
@@ -622,15 +624,13 @@ inline void OperatorBase::UpdateMemoryGauges(const OperatorMemory& memory) {
         {"slot", std::to_string(order_)}};
     gauges_.bytes = registry.GetGauge("gs_arrangement_bytes", labels);
     gauges_.batches = registry.GetGauge("gs_arrangement_batches", labels);
-    gauges_.high_water =
-        registry.GetGauge("gs_arrangement_bytes_high_water", labels);
-    gauges_.reclaimed =
-        registry.GetGauge("gs_arrangement_bytes_reclaimed", labels);
   }
-  gauges_.bytes->Set(static_cast<int64_t>(memory.trace_bytes));
-  gauges_.batches->Set(static_cast<int64_t>(memory.trace_batches));
-  gauges_.high_water->Set(static_cast<int64_t>(memory.trace_high_water_bytes));
-  gauges_.reclaimed->Set(static_cast<int64_t>(memory.trace_reclaimed_bytes));
+  const auto bytes = static_cast<int64_t>(memory.trace_bytes);
+  const auto batches = static_cast<int64_t>(memory.trace_batches);
+  gauges_.bytes->Add(bytes - gauges_.reported_bytes);
+  gauges_.batches->Add(batches - gauges_.reported_batches);
+  gauges_.reported_bytes = bytes;
+  gauges_.reported_batches = batches;
 }
 
 inline void OperatorBase::RequestRun(const Time& time) {

@@ -129,11 +129,6 @@ class ShardedDataflow {
     profile_->BlockEnd();
     static metrics::Counter* frontier_rounds =
         metrics::Registry::Global().GetCounter("gs_engine_frontier_rounds");
-    // Records pending across shards while a round's work is known, 0 once
-    // the step ends: with gs_engine_frontier_rounds, a scraper's sign of a
-    // wedged step.
-    static metrics::Gauge* outstanding_gauge =
-        metrics::Registry::Global().GetGauge("gs_engine_records_outstanding");
     for (;;) {
       // Drain-and-report phase. Every inbox is drained here, so after the
       // barrier nothing is in flight and the reported minima are complete:
@@ -169,7 +164,7 @@ class ShardedDataflow {
         for (size_t i = 0; i < w; ++i) {
           outstanding += workers_[i]->scheduler().pending();
         }
-        outstanding_gauge->Set(static_cast<int64_t>(outstanding));
+        ReportOutstanding(outstanding);
         std::lock_guard<std::mutex> lock(status_mutex_);
         status_.frontier = frontier;
         status_.frontier_valid = true;
@@ -202,7 +197,12 @@ class ShardedDataflow {
         profile_->AddBusy(i, total - drain);
       });
       profile_->BlockEnd();
-      for (const Status& s : statuses) GS_RETURN_IF_ERROR(s);
+      for (const Status& s : statuses) {
+        if (s.ok()) continue;
+        std::lock_guard<std::mutex> lock(status_mutex_);
+        EndStepLocked();
+        return s;
+      }
     }
     profile_->BlockBegin();
     pool_->ParallelFor(w, [&](size_t i) {
@@ -215,12 +215,8 @@ class ShardedDataflow {
     {
       std::lock_guard<std::mutex> lock(status_mutex_);
       CopySealedRows();
-      status_.version = current_version();
-      status_.stepping = false;
-      status_.frontier_valid = false;
-      status_.records_outstanding = 0;
+      EndStepLocked();
     }
-    outstanding_gauge->Set(0);
     // Close the attribution window (the row copy above lands in the final
     // idle gap) and feed the skew inputs collected post-barrier.
     profile_->StepEnd(CollectStepInputs());
@@ -375,6 +371,29 @@ class ShardedDataflow {
     }
   }
 
+  /// Moves this dataflow's share of gs_engine_records_outstanding to
+  /// `outstanding`. With gs_engine_frontier_rounds it is a scraper's sign
+  /// of a wedged step; each dataflow adds its own change, so the gauge sums
+  /// over concurrent dataflows instead of holding the last writer's count.
+  void ReportOutstanding(uint64_t outstanding) {
+    static metrics::Gauge* gauge =
+        metrics::Registry::Global().GetGauge("gs_engine_records_outstanding");
+    gauge->Add(static_cast<int64_t>(outstanding) -
+               static_cast<int64_t>(outstanding_reported_));
+    outstanding_reported_ = outstanding;
+  }
+
+  /// Ends a Step on each of its exits, failed ones included: the snapshot
+  /// stops reporting a running step, and this dataflow's records leave the
+  /// outstanding gauge. Call with status_mutex_ held.
+  void EndStepLocked() {
+    ReportOutstanding(0);
+    status_.version = current_version();
+    status_.stepping = false;
+    status_.frontier_valid = false;
+    status_.records_outstanding = 0;
+  }
+
   static DataflowOptions FixupOptions(DataflowOptions options) {
     options.num_workers = std::max<size_t>(1, options.num_workers);
     return options;
@@ -402,6 +421,8 @@ class ShardedDataflow {
   std::vector<std::unique_ptr<Dataflow>> workers_;
   mutable std::mutex status_mutex_;
   StatusSnapshot status_;
+  // This dataflow's current share of gs_engine_records_outstanding.
+  uint64_t outstanding_reported_ = 0;
   std::unique_ptr<sched::StepProfile> profile_;
   // Declared last: unregisters first on destruction, so no scrape can reach
   // a partially-destroyed dataflow (or profile_, which the render reads).

@@ -47,15 +47,6 @@
 
 namespace gs::differential {
 
-/// Cumulative count of galloped (exponential-search) bulk advances taken by
-/// spine batch merges — the observable proof that skewed merges leave the
-/// element-at-a-time path.
-inline metrics::Counter* SpineMergeGallops() {
-  static auto* counter =
-      metrics::Registry::Global().GetCounter("gs_spine_merge_gallops");
-  return counter;
-}
-
 /// SLO histogram: latency of tail seals and the geometric batch merges they
 /// trigger — the incremental spine-maintenance path, amortized over at
 /// least a tail's worth of inserts per observation.
@@ -136,47 +127,7 @@ class Trace {
   /// (k = O(log n) batches) instead of re-sorting the whole history on
   /// every probe — probes dominate reduce-heavy incremental workloads.
   void Accumulate(const K& key, const Time& time, Batch<V>* out) const {
-    Batch<V>& matches = accumulate_scratch_;
-    matches.clear();
-    auto& runs = accumulate_runs_;
-    runs.clear();
-    size_t run_start = 0;
-    for (const SpineBatch& batch : spine_) {
-      auto [lo, hi] = KeyRange(batch, key);
-      if (lo == hi) continue;
-      if (batch.uniform_time) {
-        // Consolidated-run fast path: one time check covers the whole run —
-        // either every entry qualifies (bulk-append, no per-entry product-
-        // order test) or none does.
-        if (!lo->time.LessEq(time)) continue;
-        for (auto it = lo; it != hi; ++it) {
-          matches.push_back(Update<V>{it->value, it->diff});
-        }
-      } else {
-        for (auto it = lo; it != hi; ++it) {
-          if (it->time.LessEq(time)) {
-            matches.push_back(Update<V>{it->value, it->diff});
-          }
-        }
-      }
-      if (matches.size() > run_start) {
-        runs.push_back({run_start, matches.size()});
-        run_start = matches.size();
-      }
-    }
-    for (const Entry& e : tail_) {
-      if (e.key == key && e.time.LessEq(time)) {
-        matches.push_back(Update<V>{e.value, e.diff});
-      }
-    }
-    if (matches.size() > run_start) {
-      std::sort(matches.begin() + run_start, matches.end(),
-                [](const Update<V>& a, const Update<V>& b) {
-                  return a.data < b.data;
-                });
-      runs.push_back({run_start, matches.size()});
-    }
-    MergeRuns(out);
+    Probe(key, time, out, [](const Time&, const V&, Diff) {});
   }
 
   /// Accumulate plus a full capture of the rest of the history in one walk
@@ -192,56 +143,9 @@ class Trace {
   void AccumulateWithFutures(
       const K& key, const Time& time, Batch<V>* out,
       std::vector<std::pair<Time, Update<V>>>* futures) const {
-    Batch<V>& matches = accumulate_scratch_;
-    matches.clear();
-    auto& runs = accumulate_runs_;
-    runs.clear();
-    size_t run_start = 0;
-    for (const SpineBatch& batch : spine_) {
-      auto [lo, hi] = KeyRange(batch, key);
-      if (lo == hi) continue;
-      if (batch.uniform_time) {
-        // Consolidated-run fast path: the whole run shares one time, so it
-        // partitions wholesale into the accumulation or the futures list.
-        if (lo->time.LessEq(time)) {
-          for (auto it = lo; it != hi; ++it) {
-            matches.push_back(Update<V>{it->value, it->diff});
-          }
-        } else {
-          for (auto it = lo; it != hi; ++it) {
-            futures->push_back({it->time, Update<V>{it->value, it->diff}});
-          }
-        }
-      } else {
-        for (auto it = lo; it != hi; ++it) {
-          if (it->time.LessEq(time)) {
-            matches.push_back(Update<V>{it->value, it->diff});
-          } else {
-            futures->push_back({it->time, Update<V>{it->value, it->diff}});
-          }
-        }
-      }
-      if (matches.size() > run_start) {
-        runs.push_back({run_start, matches.size()});
-        run_start = matches.size();
-      }
-    }
-    for (const Entry& e : tail_) {
-      if (!(e.key == key)) continue;
-      if (e.time.LessEq(time)) {
-        matches.push_back(Update<V>{e.value, e.diff});
-      } else {
-        futures->push_back({e.time, Update<V>{e.value, e.diff}});
-      }
-    }
-    if (matches.size() > run_start) {
-      std::sort(matches.begin() + run_start, matches.end(),
-                [](const Update<V>& a, const Update<V>& b) {
-                  return a.data < b.data;
-                });
-      runs.push_back({run_start, matches.size()});
-    }
-    MergeRuns(out);
+    Probe(key, time, out, [futures](const Time& t, const V& value, Diff diff) {
+      futures->push_back({t, Update<V>{value, diff}});
+    });
   }
 
   /// Seals `sealed_version`: from now on batch merges rewrite earlier
@@ -275,15 +179,6 @@ class Trace {
     FullMerge();
   }
 
-  /// Unconditional full compaction to `sealed_version`, skipping every
-  /// amortization guard. Quiescent traces (empty spine) stay untouched.
-  void CompactFully(uint32_t sealed_version) {
-    sealed_version_ = std::max(sealed_version_, sealed_version);
-    SealTail();
-    if (spine_.empty()) return;
-    FullMerge();
-  }
-
   /// Asserts every batch-spine invariant; compiled to a no-op unless the
   /// build defines GRAPHSURGE_PARANOID (CMake option of the same name, on
   /// in the fuzzer's CI configurations). The invariants a consistent —
@@ -311,9 +206,6 @@ class Trace {
         const Entry& e = rows[i];
         GS_CHECK(e.diff != 0)
             << "zero-diff entry in spine batch " << b << " at " << i;
-        GS_CHECK(!batch.uniform_time || e.time == rows.front().time)
-            << "uniform_time spine batch " << b
-            << " has divergent time at " << i;
         min_version = std::min(min_version, e.time.version);
         max_version = std::max(max_version, e.time.version);
         if (i > 0) {
@@ -392,11 +284,9 @@ class Trace {
     SpineBatch batch;
     batch.min_version = UINT32_MAX;
     batch.max_version = 0;
-    batch.uniform_time = true;
     for (const Entry& e : *rows) {
       batch.min_version = std::min(batch.min_version, e.time.version);
       batch.max_version = std::max(batch.max_version, e.time.version);
-      if (!(e.time == rows->front().time)) batch.uniform_time = false;
     }
     total_entries_ += rows->size();
     peak_entries_ = std::max(peak_entries_, total_entries_);
@@ -451,10 +341,6 @@ class Trace {
     std::shared_ptr<const std::vector<Entry>> shared;
     uint32_t min_version = 0;    // minimum version in `entries`
     uint32_t max_version = 0;    // maximum version in `entries`
-    // True when every entry carries one identical Time — the usual shape
-    // after a full compaction rewrote the batch to the sealed frontier.
-    // Probes then test the time once per key range instead of per entry.
-    bool uniform_time = false;
 
     const std::vector<Entry>& rows() const {
       return shared ? *shared : entries;
@@ -492,27 +378,50 @@ class Trace {
     CheckSpineInvariants();
   }
 
+  // The one probe loop behind Accumulate and AccumulateWithFutures: the
+  // key's entries at or below `time` become value-sorted runs merged into
+  // `out`; every other entry goes to future(time, value, diff).
+  template <typename FutureFn>
+  void Probe(const K& key, const Time& time, Batch<V>* out,
+             FutureFn&& future) const {
+    Batch<V>& matches = accumulate_scratch_;
+    matches.clear();
+    auto& runs = accumulate_runs_;
+    runs.clear();
+    size_t run_start = 0;
+    auto visit = [&](const Entry& e) {
+      if (e.time.LessEq(time)) {
+        matches.push_back(Update<V>{e.value, e.diff});
+      } else {
+        future(e.time, e.value, e.diff);
+      }
+    };
+    for (const SpineBatch& batch : spine_) {
+      auto [lo, hi] = KeyRange(batch, key);
+      for (auto it = lo; it != hi; ++it) visit(*it);
+      if (matches.size() > run_start) {
+        runs.push_back({run_start, matches.size()});
+        run_start = matches.size();
+      }
+    }
+    for (const Entry& e : tail_) {
+      if (e.key == key) visit(e);
+    }
+    if (matches.size() > run_start) {
+      std::sort(matches.begin() + run_start, matches.end(),
+                [](const Update<V>& a, const Update<V>& b) {
+                  return a.data < b.data;
+                });
+      runs.push_back({run_start, matches.size()});
+    }
+    MergeRuns(out);
+  }
+
   // Merges accumulate_runs_ (value-sorted runs inside accumulate_scratch_)
   // into net non-zero (value, count) pairs appended to `out`.
   void MergeRuns(Batch<V>* out) const {
     const Batch<V>& matches = accumulate_scratch_;
     auto& runs = accumulate_runs_;
-    if (runs.empty()) return;
-    if (runs.size() == 1) {
-      // Common case after compaction: one spine batch holds the whole
-      // history — consolidate adjacent equal values directly.
-      for (size_t i = runs[0].first; i < runs[0].second;) {
-        Diff total = 0;
-        size_t j = i;
-        while (j < runs[0].second && matches[j].data == matches[i].data) {
-          total += matches[j].diff;
-          ++j;
-        }
-        if (total != 0) out->push_back(Update<V>{matches[i].data, total});
-        i = j;
-      }
-      return;
-    }
     // k is small: a linear scan over run heads beats a heap.
     for (;;) {
       const V* min_value = nullptr;
@@ -562,23 +471,10 @@ class Trace {
     auto lo = std::lower_bound(
         rows.begin(), rows.end(), key,
         [](const Entry& e, const K& k) { return e.key < k; });
-    // Seek the end of the key's run: a few linear steps cover the common
-    // short history; long (skewed) runs switch to exponential + binary
-    // search so the seek is O(log run) instead of O(run).
+    // The caller walks the whole run, so a linear seek of its end costs no
+    // more than that walk.
     auto hi = lo;
-    auto end = rows.end();
-    for (int i = 0; i < 8; ++i) {
-      if (hi == end || !(hi->key == key)) return {lo, hi};
-      ++hi;
-    }
-    ptrdiff_t step = 1;
-    while (end - hi > step && (hi + step)->key == key) {
-      hi += step;
-      step *= 2;
-    }
-    auto search_end = end - hi > step ? hi + step : end;
-    hi = std::upper_bound(hi, search_end, key,
-                          [](const K& k, const Entry& e) { return k < e.key; });
+    while (hi != rows.end() && hi->key == key) ++hi;
     return {lo, hi};
   }
 
@@ -590,7 +486,6 @@ class Trace {
     size_t out = 0;
     uint32_t min_version = UINT32_MAX;
     uint32_t max_version = 0;
-    bool uniform = true;
     for (size_t i = 0; i < entries->size();) {
       size_t j = i;
       Diff total = 0;
@@ -605,8 +500,6 @@ class Trace {
         (*entries)[out].diff = total;
         min_version = std::min(min_version, (*entries)[out].time.version);
         max_version = std::max(max_version, (*entries)[out].time.version);
-        uniform = uniform &&
-                  (*entries)[out].time == (*entries)[0].time;
         ++out;
       }
       i = j;
@@ -617,7 +510,6 @@ class Trace {
     batch->min_version =
         min_version == UINT32_MAX ? sealed_version_ : min_version;
     batch->max_version = out == 0 ? sealed_version_ : max_version;
-    batch->uniform_time = out > 0 && uniform;
   }
 
   void SealTail() {
@@ -668,32 +560,9 @@ class Trace {
     SortAndConsolidate(batch);
   }
 
-  // First index at or after `begin` whose entry is not EntryLess than
-  // `pivot`, found by exponential (galloping) then binary search. The
-  // caller has just consumed a win at begin-1, so runs are probed from 1.
-  static size_t GallopUpper(const std::vector<Entry>& v, size_t begin,
-                            const Entry& pivot) {
-    size_t step = 1;
-    size_t lo = begin;
-    while (lo + step < v.size() && EntryLess(v[lo + step], pivot)) {
-      lo += step;
-      step *= 2;
-    }
-    size_t hi = std::min(v.size(), lo + step);
-    return static_cast<size_t>(
-        std::lower_bound(v.begin() + lo, v.begin() + hi, pivot, EntryLess) -
-        v.begin());
-  }
-
   // Merge-time compaction: both inputs are brought to the sealed frontier
   // first, then merged with cancellation of equal (key, value, time)
-  // entries. Skewed inputs gallop: after one side wins kGallopTrigger
-  // comparisons in a row, its whole remaining run below the other side's
-  // head is located by exponential search and moved in bulk (timsort's
-  // trick), so merging a tiny batch into a huge one costs O(tiny × log
-  // huge) comparisons instead of O(huge).
-  static constexpr size_t kGallopTrigger = 16;
-
+  // entries.
   SpineBatch MergeBatches(SpineBatch&& a, SpineBatch&& b) {
     ++num_merges_;
     a.Materialize();
@@ -703,63 +572,36 @@ class Trace {
     SpineBatch merged;
     merged.entries.reserve(a.entries.size() + b.entries.size());
     size_t i = 0, j = 0, dropped = 0;
-    size_t a_wins = 0, b_wins = 0;
-    auto bulk_move = [&merged](std::vector<Entry>& src, size_t from,
-                               size_t to) {
-      merged.entries.insert(merged.entries.end(),
-                            std::make_move_iterator(src.begin() + from),
-                            std::make_move_iterator(src.begin() + to));
-    };
     while (i < a.entries.size() && j < b.entries.size()) {
       if (EntryLess(a.entries[i], b.entries[j])) {
         merged.entries.push_back(std::move(a.entries[i++]));
-        b_wins = 0;
-        if (++a_wins >= kGallopTrigger && i < a.entries.size()) {
-          size_t run_end = GallopUpper(a.entries, i, b.entries[j]);
-          if (run_end > i) {
-            bulk_move(a.entries, i, run_end);
-            i = run_end;
-            SpineMergeGallops()->Increment();
-          }
-          a_wins = 0;
-        }
       } else if (EntryLess(b.entries[j], a.entries[i])) {
         merged.entries.push_back(std::move(b.entries[j++]));
-        a_wins = 0;
-        if (++b_wins >= kGallopTrigger && j < b.entries.size()) {
-          size_t run_end = GallopUpper(b.entries, j, a.entries[i]);
-          if (run_end > j) {
-            bulk_move(b.entries, j, run_end);
-            j = run_end;
-            SpineMergeGallops()->Increment();
-          }
-          b_wins = 0;
-        }
       } else {
         // Equal (key, value, time): consolidate across the batch boundary.
         Entry e = std::move(a.entries[i++]);
         e.diff += b.entries[j++].diff;
         dropped += 1 + (e.diff == 0);
         if (e.diff != 0) merged.entries.push_back(std::move(e));
-        a_wins = b_wins = 0;
       }
     }
-    bulk_move(a.entries, i, a.entries.size());
-    bulk_move(b.entries, j, b.entries.size());
+    merged.entries.insert(merged.entries.end(),
+                          std::make_move_iterator(a.entries.begin() + i),
+                          std::make_move_iterator(a.entries.end()));
+    merged.entries.insert(merged.entries.end(),
+                          std::make_move_iterator(b.entries.begin() + j),
+                          std::make_move_iterator(b.entries.end()));
     // min(a.min, b.min) is only a lower bound — cancellation may have
     // removed the very entries that carried it; recompute exactly so the
     // metadata stays tight (and the paranoid invariant can be strict).
     merged.min_version = UINT32_MAX;
     merged.max_version = 0;
-    merged.uniform_time = true;
     for (const Entry& e : merged.entries) {
       merged.min_version = std::min(merged.min_version, e.time.version);
       merged.max_version = std::max(merged.max_version, e.time.version);
-      if (!(e.time == merged.entries.front().time)) merged.uniform_time = false;
     }
     if (merged.entries.empty()) {
       merged.min_version = merged.max_version = sealed_version_;
-      merged.uniform_time = false;
     }
     total_entries_ -= dropped;
     entries_reclaimed_ += dropped;

@@ -33,7 +33,7 @@
 //   GET <path>
 //       Every status page (/healthz, /metrics, /statusz, /tracez),
 //       /profilez (the host system's Graphsurge::Profile(): the last
-//       collection run's per-view table plus the metrics), and /sessionz
+//       collection run's per-view table), and /sessionz
 //       (this server's session table), so one scrape target covers serving
 //       and engine state. `/` lists them.
 //

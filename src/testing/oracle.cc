@@ -398,10 +398,13 @@ Status CheckArrangementGaugesZero() {
   const std::string text = metrics::Registry::Global().ExpositionText();
   const uint64_t bytes = SumFamily(text, "gs_arrangement_bytes");
   const uint64_t batches = SumFamily(text, "gs_arrangement_batches");
-  if (bytes != 0 || batches != 0) {
+  const uint64_t outstanding =
+      SumFamily(text, "gs_engine_records_outstanding");
+  if (bytes != 0 || batches != 0 || outstanding != 0) {
     return Status::Internal(
-        "arrangement gauges nonzero after teardown: bytes=" +
-        std::to_string(bytes) + " batches=" + std::to_string(batches));
+        "engine gauges nonzero after teardown: bytes=" +
+        std::to_string(bytes) + " batches=" + std::to_string(batches) +
+        " records_outstanding=" + std::to_string(outstanding));
   }
   return Status::Ok();
 }

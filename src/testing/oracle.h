@@ -45,8 +45,9 @@ namespace gs::testing {
 Status RunOracle(const FuzzCase& c, std::string* log);
 
 /// Ok() iff the arrangement memory gauges (gs_arrangement_bytes,
-/// gs_arrangement_batches) read zero — i.e. no engine leaked accounting.
-/// Only meaningful while no dataflow engines are alive.
+/// gs_arrangement_batches) and gs_engine_records_outstanding read zero —
+/// i.e. no engine, failed steps included, leaked accounting. Only
+/// meaningful while no dataflow engines are alive.
 Status CheckArrangementGaugesZero();
 
 /// Order-independent content hash of a result map (for log lines).

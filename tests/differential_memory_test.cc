@@ -2,7 +2,7 @@
 // (ISSUE satellite: observability numbers must be trustworthy):
 //   1. per-arrangement gauges drop to zero once the owning dataflow is
 //      destroyed — a leaked gauge would make /metrics report phantom
-//      memory forever;
+//      memory forever — and sum over dataflows that share a series;
 //   2. high-water >= live at every step on every operator;
 //   3. compaction monotonically grows reclaimed_bytes and never grows
 //      live_bytes;
@@ -19,6 +19,7 @@
 
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,9 +42,8 @@ DataflowOptions Workers(size_t n) {
 }
 
 /// Sums every sample of one metric family in Prometheus exposition text.
-/// Matches `family{...} value` and `family value` lines only — a family
-/// that is a prefix of a longer name (bytes vs bytes_high_water) does not
-/// match.
+/// Matches `family{...} value` and `family value` lines only — a longer
+/// name that starts with the family does not match.
 uint64_t SumFamily(const std::string& text, const std::string& family) {
   uint64_t sum = 0;
   size_t pos = 0;
@@ -121,10 +121,37 @@ TEST(ArrangementGaugesTest, LiveGaugesReturnToZeroAfterTeardown) {
     EXPECT_NE(text.find("op=\"arrange\""), std::string::npos);
   }
   // Teardown must zero the live gauges of every arrangement the harness
-  // owned (high-water and reclaimed are historical and may persist).
+  // owned.
   const std::string text = registry.ExpositionText();
   EXPECT_EQ(SumFamily(text, "gs_arrangement_bytes"), 0u);
   EXPECT_EQ(SumFamily(text, "gs_arrangement_batches"), 0u);
+}
+
+// Dataflows with one operator layout (concurrent sessions, a live run
+// beside a batch run) share each {op, shard, slot} series. Each operator
+// adds its own change, so the series hold the sum of the live dataflows,
+// and a teardown takes back only its own share.
+TEST(ArrangementGaugesTest, GaugesSumOverDataflowsThatShareASeries) {
+  auto& registry = metrics::Registry::Global();
+  auto gauge_bytes = [&registry] {
+    return SumFamily(registry.ExpositionText(), "gs_arrangement_bytes");
+  };
+  auto arrange_keys = [](Dataflow* dataflow, int64_t keys) {
+    Input<IntPair> input(dataflow);
+    Arrange(input.stream());
+    for (int64_t k = 0; k < keys; ++k) input.Send({k, k}, 1);
+    EXPECT_TRUE(dataflow->Step().ok());
+    return dataflow->stats().trace_bytes;
+  };
+  auto small = std::make_unique<Dataflow>();
+  Dataflow large;
+  const uint64_t small_bytes = arrange_keys(small.get(), 100);
+  const uint64_t large_bytes = arrange_keys(&large, 300);
+  ASSERT_GT(small_bytes, 0u);
+  ASSERT_GT(large_bytes, small_bytes);
+  EXPECT_EQ(gauge_bytes(), small_bytes + large_bytes);
+  small.reset();
+  EXPECT_EQ(gauge_bytes(), large_bytes);
 }
 
 TEST(ArrangementGaugesTest, HighWaterDominatesLiveOnEveryStep) {

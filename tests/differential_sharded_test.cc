@@ -368,6 +368,12 @@ TEST(ShardedTest, EventCapErrorPropagatesFromWorkers) {
     inputs[df.OwnerOfHash(HashValue(e))]->Send(e, 1);
   }
   EXPECT_FALSE(df.Step().ok());
+  // The failed step takes its records back out of the outstanding gauge,
+  // or a scraper would see a wedged step on an idle process.
+  EXPECT_EQ(metrics::Registry::Global()
+                .GetGauge("gs_engine_records_outstanding")
+                ->Value(),
+            0);
 }
 
 // ---------------------------------------------------------------------------

@@ -186,12 +186,10 @@ TEST(TraceSpineTest, IterationCoordinatesSurviveCompaction) {
   EXPECT_EQ(ToMap(acc), (std::map<int64_t, Diff>{{10, 1}, {20, 1}}));
 }
 
-TEST(TraceSpineTest, SkewedMergesGallopAndMatchReference) {
-  // A huge sorted history plus trickles of small batches is the worst case
-  // for element-at-a-time merging: every seal re-walks the big batch. The
-  // galloping path must bulk-move the big runs (observable through the
-  // gs_spine_merge_gallops counter) without changing any accumulation.
-  uint64_t gallops_before = SpineMergeGallops()->Value();
+TEST(TraceSpineTest, SkewedMergesMatchReference) {
+  // A huge sorted history plus trickles of small batches: every seal merges
+  // short new runs into long runs of the big batch, and no merge may change
+  // any accumulation.
   Rng rng(99);
   Trace<uint64_t, int64_t> spine;
   ReferenceTrace<uint64_t, int64_t> reference;
@@ -204,7 +202,7 @@ TEST(TraceSpineTest, SkewedMergesGallopAndMatchReference) {
     spine.Insert(key, value, Time(0), 1);
     reference.Insert(key, value, Time(0), 1);
   }
-  spine.CompactFully(0);
+  spine.CompactTo(0);
 
   // Versions 1..8: small skewed bursts, each hitting a narrow key range so
   // merges interleave long runs of the big batch with short new runs.
@@ -218,14 +216,11 @@ TEST(TraceSpineTest, SkewedMergesGallopAndMatchReference) {
       spine.Insert(key, value, t, diff);
       reference.Insert(key, value, t, diff);
     }
-    spine.CompactFully(v);
+    spine.CompactTo(v);
   }
 
-  EXPECT_GT(SpineMergeGallops()->Value(), gallops_before)
-      << "skewed merges never took the galloping path";
-
   // Every key's accumulation at the final frontier must match the naive
-  // reference — galloped bulk moves and linear merging are equivalent.
+  // reference.
   Time probe = Time(8).Entered().Entered();
   probe.iters[0] = 100;  // above any iteration used
   probe.iters[1] = 100;
@@ -236,11 +231,10 @@ TEST(TraceSpineTest, SkewedMergesGallopAndMatchReference) {
   }
 }
 
-TEST(TraceSpineTest, UniformTimeFastPathMatchesPerEntryScan) {
-  // After CompactFully every surviving entry in a single-version trace sits
-  // at one identical time, arming the uniform_time run-level fast path in
-  // Accumulate/AccumulateWithFutures. Probes below, at, and above that time
-  // must behave exactly like the per-entry scan.
+TEST(TraceSpineTest, CompactedSingleTimeProbesMatchReference) {
+  // After a full compaction every surviving entry of a single-version trace
+  // sits at one identical time. Probes below, at, and above that time must
+  // match the reference.
   Trace<uint64_t, int64_t> spine;
   ReferenceTrace<uint64_t, int64_t> reference;
   Rng rng(7);
@@ -250,13 +244,55 @@ TEST(TraceSpineTest, UniformTimeFastPathMatchesPerEntryScan) {
     spine.Insert(key, value, Time(2), 1);
     reference.Insert(key, value, Time(2), 1);
   }
-  spine.CompactFully(2);
+  spine.CompactTo(2);
   for (uint64_t key = 0; key < 64; ++key) {
     for (uint32_t v : {1u, 2u, 3u}) {
       Batch<int64_t> acc;
       spine.Accumulate(key, Time(v), &acc);
       EXPECT_EQ(ToMap(acc), reference.Accumulate(key, Time(v)))
           << "key " << key << " version " << v;
+    }
+  }
+}
+
+TEST(TraceSpineTest, HubKeyRunMatchesReference) {
+  // One hub key holds a 4,096-entry run between short keys. The key seek
+  // scans that run linearly and must stop exactly at both of its ends, for
+  // ForEach and Accumulate alike.
+  constexpr uint64_t kHub = 32;
+  Rng rng(11);
+  Trace<uint64_t, int64_t> spine;
+  ReferenceTrace<uint64_t, int64_t> reference;
+  auto insert = [&](uint64_t key, int64_t value, const Time& t, Diff diff) {
+    spine.Insert(key, value, t, diff);
+    reference.Insert(key, value, t, diff);
+  };
+  for (uint32_t version = 0; version < 2; ++version) {
+    for (int64_t i = 0; i < 4096; ++i) {
+      insert(kHub, i, RandomTime(rng, version), rng.Bernoulli(0.2) ? -1 : 1);
+      if (i % 32 == 0) {
+        const uint64_t key = rng.Index(64);
+        insert(key == kHub ? key + 1 : key, rng.Uniform(0, 3),
+               RandomTime(rng, version), 1);
+      }
+    }
+    spine.CompactTo(version);
+    for (uint64_t key = 0; key < 64; ++key) {
+      for (uint32_t probe_version : {version, version + 1}) {
+        const Time probe = RandomTime(rng, probe_version);
+        Batch<int64_t> acc;
+        spine.Accumulate(key, probe, &acc);
+        const std::map<int64_t, Diff> expected =
+            reference.Accumulate(key, probe);
+        EXPECT_EQ(ToMap(acc), expected)
+            << "key " << key << " sealed " << version;
+        Batch<int64_t> visited;
+        spine.ForEach(key, [&](const int64_t& value, const Time& t, Diff d) {
+          if (t.LessEq(probe)) visited.push_back(Update<int64_t>{value, d});
+        });
+        EXPECT_EQ(ToMap(visited), expected)
+            << "key " << key << " sealed " << version;
+      }
     }
   }
 }

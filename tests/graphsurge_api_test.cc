@@ -233,8 +233,7 @@ TEST_F(GraphsurgeApiTest, RunChecksTheWeightColumn) {
 }
 
 TEST_F(GraphsurgeApiTest, ProfileReportsLastRun) {
-  // Before any computation, Profile carries no per-view table (only the
-  // metrics exposition, possibly fed by other tests in this process).
+  // Before any computation, Profile carries no per-view table.
   EXPECT_EQ(system_.Profile().find("view  mode"), std::string::npos);
 
   ASSERT_TRUE(system_
@@ -247,14 +246,10 @@ TEST_F(GraphsurgeApiTest, ProfileReportsLastRun) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   std::string profile = system_.Profile();
-  // The per-view table from the last run...
+  // The per-view table from the last run.
   EXPECT_NE(profile.find("view  mode"), std::string::npos);
   EXPECT_NE(profile.find("TOTAL"), std::string::npos);
   EXPECT_NE(profile.find("end_to_end_ms="), std::string::npos);
-  // ...followed by the process-wide Prometheus exposition.
-  EXPECT_NE(profile.find("# TYPE gs_engine_versions_sealed counter"),
-            std::string::npos);
-  EXPECT_NE(profile.find("gs_executor_views_run"), std::string::npos);
 }
 
 TEST_F(GraphsurgeApiTest, ExplainBeforeAndAfterRun) {
