@@ -81,8 +81,8 @@ class BenchReport {
  public:
   explicit BenchReport(std::string name) : name_(std::move(name)) {
     // Every bench binary is scrapeable: GRAPHSURGE_STATUS_PORT starts the
-    // embedded status server even in harnesses that drive the engine
-    // directly without constructing an api::Graphsurge.
+    // embedded status server here, whether the harness drives the engine
+    // directly or through an api::Graphsurge (which serves no HTTP).
     server::StatusServer::MaybeStartFromEnv();
   }
 

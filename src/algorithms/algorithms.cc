@@ -166,7 +166,7 @@ ResultStream PageRank::GraphAnalytics(EdgeStream edges) const {
 }
 
 ResultStream Mpsp::GraphAnalytics(EdgeStream edges) const {
-  GS_CHECK(pairs_.size() <= 256) << "MPSP supports at most 256 pairs";
+  GS_CHECK(pairs_.size() <= kMaxPairs) << "MPSP supports at most 256 pairs";
   using Tagged = std::pair<uint64_t, std::pair<int64_t, int64_t>>;
 
   auto weighted = edges.Map([](const WeightedEdge& e) {

@@ -83,6 +83,9 @@ class Scc : public Computation {
 /// At most 256 pairs; vertex ids must fit in 56 bits.
 class Mpsp : public Computation {
  public:
+  /// The pair index takes the low 8 bits of a result key (PackKey).
+  static constexpr size_t kMaxPairs = 256;
+
   explicit Mpsp(std::vector<std::pair<VertexId, VertexId>> pairs)
       : pairs_(std::move(pairs)) {}
   std::string name() const override { return "mpsp"; }

@@ -1,11 +1,13 @@
 #include "api/graphsurge.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <iomanip>
 #include <limits>
+#include <set>
 #include <sstream>
 
 #include "algorithms/algorithms.h"
@@ -15,18 +17,10 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/timer.h"
-#include "server/status_server.h"
 
 namespace gs {
 
 namespace {
-
-/// The Graphsurge instance currently backing /profilez. The handler lambda
-/// registered on the (never-destroyed) global status server must not
-/// capture a raw `this`, so instances check in/out of this slot instead;
-/// the newest live instance wins the endpoint.
-std::mutex g_profilez_mutex;
-const Graphsurge* g_profilez_system = nullptr;
 
 /// Monotone instance numbering for arrangement-cache scopes: a system's
 /// scopes must never alias another instance's (live or destroyed), even for
@@ -102,9 +96,10 @@ StatusOr<std::unique_ptr<analytics::Computation>> MakeComputation(
     c = std::make_unique<analytics::Scc>();
   } else if (name == "pagerank") {
     uint64_t iters = 10;
-    if (!args.empty() && (!ParseUint(args, &iters) || iters == 0)) {
+    if (!args.empty() && (!ParseUint(args, &iters) || iters == 0 ||
+                          iters > std::numeric_limits<uint32_t>::max())) {
       return Status::InvalidArgument(
-          "pagerank takes a positive iteration count");
+          "pagerank takes a positive 32-bit iteration count");
     }
     c = std::make_unique<analytics::PageRank>(static_cast<uint32_t>(iters));
   } else if (name == "bfs") {
@@ -127,8 +122,10 @@ StatusOr<std::unique_ptr<analytics::Computation>> MakeComputation(
       }
       pairs.emplace_back(src, dst);
     }
-    if (pairs.empty()) {
-      return Status::InvalidArgument("mpsp requires at least one src:dst");
+    if (pairs.empty() || pairs.size() > analytics::Mpsp::kMaxPairs) {
+      return Status::InvalidArgument(
+          "mpsp takes 1 to " + std::to_string(analytics::Mpsp::kMaxPairs) +
+          " src:dst pairs");
     }
     c = std::make_unique<analytics::Mpsp>(std::move(pairs));
   } else {
@@ -153,19 +150,6 @@ Graphsurge::Graphsurge(GraphsurgeOptions options)
   // A dying run should leave its flight recorder behind (no-ops under
   // sanitizer runtimes, which install their own handlers first).
   InstallCrashHandlers();
-  server::StatusServer::MaybeStartFromEnv();
-  {
-    std::lock_guard<std::mutex> lock(g_profilez_mutex);
-    g_profilez_system = this;
-  }
-  server::StatusServer::Global().Handle("/profilez", [] {
-    server::HttpResponse r;
-    std::lock_guard<std::mutex> lock(g_profilez_mutex);
-    r.body = g_profilez_system != nullptr
-                 ? g_profilez_system->Profile()
-                 : std::string("no live Graphsurge instance\n");
-    return r;
-  });
 }
 
 Graphsurge::~Graphsurge() {
@@ -174,8 +158,6 @@ Graphsurge::~Graphsurge() {
   // byte gauge returns to zero once in-flight readers release their pins.
   differential::ArrangementCache::Global().InvalidateScopePrefix(
       "gs" + std::to_string(instance_id_) + "/");
-  std::lock_guard<std::mutex> lock(g_profilez_mutex);
-  if (g_profilez_system == this) g_profilez_system = nullptr;
 }
 
 std::string Graphsurge::CacheScopeFor(const std::string& graph_name,
@@ -432,43 +414,20 @@ StatusOr<views::ExecutionResult> Graphsurge::RunCollection(
   StatusOr<views::ExecutionResult> result =
       views::RunOnCollection(computation, *base, *collection, options);
   if (result.ok()) {
-    // Keep the run's metadata for Profile() and Explain(), not the captured
-    // results: those can be the size of the collection, so they are moved
-    // aside for the copy rather than copied.
+    // Keep the run's metadata for Explain(), not the captured results:
+    // those can be the size of the collection, so they are moved aside for
+    // the copy rather than copied.
     std::vector<analytics::ResultMap> results =
         std::move(result.value().results);
     views::ExecutionResult metadata = result.value();
     result.value().results = std::move(results);
-    std::string profile = metadata.Profile();
     std::lock_guard<std::mutex> lock(run_state_mutex_);
-    last_run_profile_ = std::move(profile);
     s.last_runs_[name] = std::move(metadata);
   }
   return result;
 }
 
-std::string Graphsurge::Profile() const {
-  std::lock_guard<std::mutex> lock(run_state_mutex_);
-  return last_run_profile_;
-}
-
-Status Graphsurge::StartStatusServer(uint16_t port) {
-  return server::StatusServer::Global().Start(port);
-}
-
-StatusOr<std::string> Graphsurge::Explain(const std::string& target) const {
-  // Accept either a bare collection name or an `explain <name>` statement.
-  std::string name = target;
-  if (target.find(' ') != std::string::npos ||
-      target.find('\n') != std::string::npos) {
-    GS_ASSIGN_OR_RETURN(gvdl::Statement statement, gvdl::Parse(target));
-    const auto* ex = std::get_if<gvdl::ExplainDef>(&statement);
-    if (ex == nullptr) {
-      return Status::InvalidArgument(
-          "Explain() expects an 'explain <collection>' statement");
-    }
-    name = ex->target;
-  }
+StatusOr<std::string> Graphsurge::Explain(const std::string& name) const {
   return ExplainCollection(root_, name);
 }
 
@@ -512,13 +471,22 @@ StatusOr<std::string> Graphsurge::ExplainCollection(
 
   // Per-position plan: the view at each position with the optimizer's
   // estimated |GV_t| and |δC_t| (the per-adjacent-pair ds contribution),
-  // joined with the last run's actual counts when available.
+  // joined with the last run's actual counts and per-operator milliseconds
+  // when available. The operator columns cover every operator of any view.
+  std::set<std::string> ops;
+  for (const views::ViewRunStats& v : run.per_view) {
+    for (const auto& [op, _] : v.op_nanos) ops.insert(op);
+  }
+  auto op_width = [](const std::string& op) {
+    return std::max<int>(11, static_cast<int>(op.size()) + 2);
+  };
   out << "\n" << std::left << std::setw(5) << "pos" << std::setw(14) << "view"
       << std::setw(7) << "def#" << std::right << std::setw(12) << "est |GV|"
       << std::setw(12) << "est |dC|";
   if (has_run) {
     out << std::setw(10) << "mode" << std::setw(12) << "actual in"
         << std::setw(12) << "actual out" << std::setw(10) << "ms";
+    for (const std::string& op : ops) out << std::setw(op_width(op)) << op;
   }
   out << "\n";
   for (size_t t = 0; t < collection->num_views(); ++t) {
@@ -531,6 +499,11 @@ StatusOr<std::string> Graphsurge::ExplainCollection(
       out << std::setw(10) << (v.ran_scratch ? "scratch" : "diff")
           << std::setw(12) << v.input_size << std::setw(12) << v.output_diffs
           << std::setprecision(3) << std::setw(10) << v.seconds * 1e3;
+      for (const std::string& op : ops) {
+        auto it = v.op_nanos.find(op);
+        out << std::setw(op_width(op))
+            << (it == v.op_nanos.end() ? 0.0 : it->second / 1e6);
+      }
     }
     out << "\n";
   }
@@ -539,7 +512,8 @@ StatusOr<std::string> Graphsurge::ExplainCollection(
     out << "\nlast run: strategy=" << splitting::StrategyName(run.strategy)
         << " chunk_size=" << run.chunk_size << " splits=" << run.num_splits
         << std::setprecision(3) << " total_ms=" << run.total_seconds * 1e3
-        << "\n";
+        << " updates=" << run.engine_stats.updates_published
+        << " exchanged_bytes=" << run.engine_stats.exchanged_bytes << "\n";
     if (!run.chunk_decisions.empty()) {
       out << std::left << std::setw(12) << "chunk" << std::setw(10)
           << "choice" << std::right << std::setw(16) << "pred scratch s"
@@ -769,12 +743,6 @@ void Graphsurge::RefreshIngestStatus() {
 std::vector<std::string> Graphsurge::GraphNames() const {
   std::vector<std::string> names;
   for (const auto& [name, _] : root_.graphs_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> Graphsurge::CollectionNames() const {
-  std::vector<std::string> names;
-  for (const auto& [name, _] : root_.collections_) names.push_back(name);
   return names;
 }
 

@@ -158,19 +158,16 @@ class Graphsurge {
       const analytics::Computation& computation, const std::string& name,
       views::ExecutionOptions options = views::ExecutionOptions()) const;
 
-  /// Profiling report of the most recent RunComputation on this system:
-  /// the per-view × per-operator wall-time table
-  /// (views::ExecutionResult::Profile). Empty before the first run.
-  std::string Profile() const;
-
-  /// Renders the optimizer's plan for a materialized collection: chosen
-  /// view order with the estimated per-position difference-set sizes, the
-  /// ordering decision (ds under the chosen order vs the user-given order),
-  /// and — after a RunComputation over the collection — the splitting
-  /// decision per chunk with both cost-model predictions plus a per-view
-  /// estimated-vs-actual diff-count table. `target` is a collection name or
-  /// a GVDL `explain <collection>` statement.
-  StatusOr<std::string> Explain(const std::string& target) const;
+  /// Renders the optimizer's plan for the materialized collection `name`:
+  /// chosen view order with the estimated per-position difference-set
+  /// sizes and the ordering decision (ds under the chosen order vs the
+  /// user-given order). After a RunComputation over the collection it is
+  /// also that run's report: per view the mode, the actual input and output
+  /// diff counts, the milliseconds and each operator's milliseconds; the
+  /// run's engine counters; and the splitting decision per chunk with both
+  /// cost-model predictions. A session's `explain <name>` statement renders
+  /// the same report for the session's own last run.
+  StatusOr<std::string> Explain(const std::string& name) const;
 
   // --- Streaming ingest ----------------------------------------------------
   /// Attaches a write-ahead log to `graph_name`. Any records already in
@@ -206,15 +203,6 @@ class Graphsurge {
                                   views::LiveRunOptions());
   StatusOr<const views::LiveRun*> GetLiveRun(const std::string& name) const;
 
-  // --- Live introspection ---------------------------------------------------
-  /// Starts the embedded HTTP status server on 127.0.0.1:`port` (0 picks an
-  /// ephemeral port; see server::StatusServer::Global().port()). Serves
-  /// /healthz, /metrics, /statusz, /tracez and the newest live system's
-  /// /profilez (its Profile()), indexed at /. Also
-  /// started automatically when GRAPHSURGE_STATUS_PORT is set in the
-  /// environment.
-  Status StartStatusServer(uint16_t port);
-
   ThreadPool* pool() const { return pool_.get(); }
   const GraphsurgeOptions& options() const { return options_; }
 
@@ -228,7 +216,6 @@ class Graphsurge {
 
   /// Names of stored graphs/views (diagnostics, examples).
   std::vector<std::string> GraphNames() const;
-  std::vector<std::string> CollectionNames() const;
 
  private:
   /// Lookups in `s`; graphs fall back to the system's own namespace.
@@ -267,14 +254,11 @@ class Graphsurge {
   /// scope this system creates.
   uint64_t instance_id_;
   std::unique_ptr<ThreadPool> pool_;
-  /// Guards the cached run reports (this and every Session::last_runs_):
-  /// the status server's /profilez scrapes them from its own thread while
-  /// runs replace them.
+  /// Guards every Session::last_runs_. Runs are logically const — they
+  /// mutate no stored graph or collection — so concurrent RunComputation
+  /// calls on the system's own namespace may replace one session's reports
+  /// while Explain() reads them.
   mutable std::mutex run_state_mutex_;
-  /// Per-view table of the last collection run (runs are logically const —
-  /// they mutate no stored graph or collection — so the cached reports are
-  /// the one mutable bit).
-  mutable std::string last_run_profile_;
   /// The system's own namespace: loaded graphs, filtered views,
   /// collections and aggregate views.
   Session root_;

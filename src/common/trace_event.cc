@@ -30,7 +30,6 @@ Clock::time_point ProcessEpoch() {
 struct Event {
   uint64_t ts_ns = 0;
   uint64_t dur_ns = 0;
-  int64_t value = 0;  // counter events
   const char* category = "";
   char name[kNameCapacity] = {0};
   int32_t tid = 0;
@@ -150,12 +149,10 @@ int32_t EffectiveTid() {
 }
 
 void Record(char phase, const char* category, const char* name,
-            uint64_t ts_ns, uint64_t dur_ns, int64_t value,
-            uint32_t version) {
+            uint64_t ts_ns, uint64_t dur_ns, uint32_t version) {
   Event event;
   event.ts_ns = ts_ns;
   event.dur_ns = dur_ns;
-  event.value = value;
   event.category = category;
   std::strncpy(event.name, name, kNameCapacity - 1);
   event.phase = phase;
@@ -237,18 +234,13 @@ void AddCompleteEvent(const char* category, const char* name,
                       uint64_t start_ns, uint64_t duration_ns,
                       uint32_t version) {
   if (!Enabled()) return;
-  Record('X', category, name, start_ns, duration_ns, 0, version);
+  Record('X', category, name, start_ns, duration_ns, version);
 }
 
 void AddInstantEvent(const char* category, const char* name,
                      uint32_t version) {
   if (!Enabled()) return;
-  Record('i', category, name, NowNanos(), 0, 0, version);
-}
-
-void AddCounterEvent(const char* category, const char* name, int64_t value) {
-  if (!Enabled()) return;
-  Record('C', category, name, NowNanos(), 0, value, kNoVersion);
+  Record('i', category, name, NowNanos(), 0, version);
 }
 
 namespace {
@@ -285,12 +277,7 @@ std::string RenderJson(const std::vector<Event>& events) {
                     static_cast<double>(e.dur_ns) / 1e3);
       out += buf;
     }
-    if (e.phase == 'C') {
-      std::snprintf(buf, sizeof(buf),
-                    ", \"args\": {\"value\": %lld}",
-                    static_cast<long long>(e.value));
-      out += buf;
-    } else if (e.version != kNoVersion) {
+    if (e.version != kNoVersion) {
       std::snprintf(buf, sizeof(buf), ", \"args\": {\"version\": %u}",
                     e.version);
       out += buf;

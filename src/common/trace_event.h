@@ -61,9 +61,6 @@ void AddCompleteEvent(const char* category, const char* name,
 void AddInstantEvent(const char* category, const char* name,
                      uint32_t version = kNoVersion);
 
-/// Records a counter sample ('C' phase) graphed as a track by the UI.
-void AddCounterEvent(const char* category, const char* name, int64_t value);
-
 /// Serializes all buffered events (across all threads) to Chrome trace JSON:
 /// `{"traceEvents": [...], "displayTimeUnit": "ms"}`. Safe to call while
 /// recording continues (each buffer is copied under its mutex), though a
@@ -136,16 +133,10 @@ class Span {
 
 #define GS_TRACE_CONCAT_IMPL(a, b) a##b
 #define GS_TRACE_CONCAT(a, b) GS_TRACE_CONCAT_IMPL(a, b)
-/// Scoped span covering the rest of the enclosing block.
-#define GS_TRACE_SPAN(category, name) \
-  ::gs::trace::Span GS_TRACE_CONCAT(gs_trace_span_, __LINE__)(category, name)
-/// Scoped span tagged with a version argument (shown under "args" in the UI).
+/// Scoped span covering the rest of the enclosing block, tagged with a
+/// version argument (shown under "args" in the UI).
 #define GS_TRACE_SPAN_V(category, name, version)                            \
   ::gs::trace::Span GS_TRACE_CONCAT(gs_trace_span_, __LINE__)(category, name, \
                                                               version)
-#define GS_TRACE_INSTANT(category, name) \
-  ::gs::trace::AddInstantEvent(category, name)
-#define GS_TRACE_COUNTER(category, name, value) \
-  ::gs::trace::AddCounterEvent(category, name, value)
 
 #endif  // GRAPHSURGE_COMMON_TRACE_EVENT_H_

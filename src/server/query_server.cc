@@ -259,11 +259,6 @@ QueryServer::QueryServer(QueryServerOptions options)
     r.body = SessionzJson();
     return r;
   });
-  listener_.Handle("/profilez", [this] {
-    HttpResponse r;
-    r.body = host_.Profile();
-    return r;
-  });
 }
 
 QueryServer::~QueryServer() { Stop(); }

@@ -16,7 +16,9 @@
 //             GVDL. Filtered views, collections and aggregate views land in
 //             the session's private namespace; `on` resolves session names
 //             first, then host graphs. Answers {"created": [...]} plus, for
-//             explain, the plan text as "plan".
+//             explain, the plan text as "plan": after the session's last
+//             run on C, that run's per-view and per-operator report
+//             (Graphsurge::Explain).
 //         run <algorithm> on <target> [weight <column>]
 //             Answers {"algorithm", "target", "views"}. Runs on a host graph
 //             go through the process-level arrangement cache
@@ -31,11 +33,9 @@
 //       POST to any other path answers 404 (405 on a page's path), and
 //       other methods 405, in plain text from the listener.
 //   GET <path>
-//       Every status page (/healthz, /metrics, /statusz, /tracez),
-//       /profilez (the host system's Graphsurge::Profile(): the last
-//       collection run's per-view table), and /sessionz
-//       (this server's session table), so one scrape target covers serving
-//       and engine state. `/` lists them.
+//       Every status page (/healthz, /metrics, /statusz, /tracez) and
+//       /sessionz (this server's session table), so one scrape target
+//       covers serving and engine state. `/` lists them.
 //
 // Concurrency model: the front end owns no socket or thread. Its routes
 // are registered on a StatusServer of its own (server/status_server.h)

@@ -14,10 +14,11 @@
 //      seals) or data structures that are internally synchronized (metrics
 //      registry, trace_event ring buffers, introspect registry). The
 //      listener runs on its own threads, never on a compute pool.
-//   3. Opt-in — nothing listens unless the process sets
-//      GRAPHSURGE_STATUS_PORT=<port> or calls StatusServer::Start (the api
-//      layer exposes Graphsurge::StartStatusServer). Binds 127.0.0.1 only:
-//      this is an operator-facing port, not a public service.
+//   3. Opt-in — nothing listens unless the process calls Start: the bench
+//      binaries start Global() when GRAPHSURGE_STATUS_PORT=<port> is set
+//      (MaybeStartFromEnv), and graphsurge_serve's query port serves every
+//      page. Binds 127.0.0.1 only: this is an operator-facing port, not a
+//      public service.
 //
 // Concurrency model: one accept thread hands connections to a bounded
 // queue (64 slots) drained by `num_threads` workers, each of which serves
@@ -36,10 +37,10 @@
 //               its last seal and, under "sched", its per-worker time
 //               attribution
 //   /           plain-text index of the registered pages
-// More pages (the api layer's /profilez, the query front end's /sessionz)
-// are registered via Handle(), POST routes via HandlePost(). A POST to a
-// path without a POST route answers 405 if the path is a page and 404
-// otherwise; methods other than GET, HEAD and POST answer 405.
+// More pages (the query front end's /sessionz) are registered via
+// Handle(), POST routes via HandlePost(). A POST to a path without a POST
+// route answers 405 if the path is a page and 404 otherwise; methods other
+// than GET, HEAD and POST answer 405.
 #ifndef GRAPHSURGE_SERVER_STATUS_SERVER_H_
 #define GRAPHSURGE_SERVER_STATUS_SERVER_H_
 
@@ -60,9 +61,9 @@
 
 namespace gs::server {
 
-/// A listener bound to one port. Typically accessed through the
-/// process-wide instance (StatusServer::Global()), which the api layer
-/// starts; the query front end and tests own standalone instances.
+/// A listener bound to one port: the process-wide instance
+/// (StatusServer::Global()), or a standalone one such as the query front
+/// end's.
 class StatusServer {
  public:
   /// A GET (or HEAD) page: a parameterless view of process state.
@@ -114,8 +115,7 @@ class StatusServer {
   /// requests on one connection are served in order.
   void ServeConnection(int fd);
 
-  /// The process-wide server used by GRAPHSURGE_STATUS_PORT and the api
-  /// layer. Never destroyed.
+  /// The process-wide server MaybeStartFromEnv starts. Never destroyed.
   static StatusServer& Global();
 
   /// Starts Global() on GRAPHSURGE_STATUS_PORT if the variable is set and

@@ -1,5 +1,6 @@
 #include "testing/generators.h"
 
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -274,64 +275,53 @@ MutationBatch ResolveFuzzBatch(const PropertyGraph& graph,
   const uint64_t n = graph.num_nodes();
   const uint64_t m = graph.num_edges();
   for (const FuzzMutation& r : raw) {
-    Mutation candidate;
-    switch (r.kind) {
-      case 0: {  // add node, BuildGraph node schema (grp, hub)
-        candidate = Mutation::AddNode(
-            {PropertyValue(static_cast<int64_t>(r.a % 5)),
-             PropertyValue(r.b % 3 == 0)});
-        break;
-      }
-      case 1: {  // remove node
-        candidate = Mutation::RemoveNode(r.a % n);
-        break;
-      }
-      case 2: {  // add edge, BuildGraph edge schema (w, kind, tag)
-        const int64_t kind = static_cast<int64_t>(r.c % 3);
-        candidate = Mutation::AddEdge(
-            r.a % n, r.b % n,
-            {PropertyValue(static_cast<int64_t>(r.c % 16)),
-             PropertyValue(kind), PropertyValue(std::string(kTags[kind]))});
-        break;
-      }
-      case 3: {  // remove edge
-        if (m == 0) continue;
-        candidate = Mutation::RemoveEdge(r.a % m);
-        break;
-      }
-      case 4: {  // set node property
-        if (r.b % 2 == 0) {
-          candidate = Mutation::SetNodeProperty(
-              r.a % n, "grp", PropertyValue(static_cast<int64_t>(r.c % 5)));
-        } else {
-          candidate = Mutation::SetNodeProperty(r.a % n, "hub",
-                                                PropertyValue(r.c % 2 == 0));
+    std::optional<Mutation> candidate = [&]() -> std::optional<Mutation> {
+      switch (r.kind) {
+        case 0:  // add node, BuildGraph node schema (grp, hub)
+          return Mutation::AddNode(
+              {PropertyValue(static_cast<int64_t>(r.a % 5)),
+               PropertyValue(r.b % 3 == 0)});
+        case 1:  // remove node
+          return Mutation::RemoveNode(r.a % n);
+        case 2: {  // add edge, BuildGraph edge schema (w, kind, tag)
+          const int64_t kind = static_cast<int64_t>(r.c % 3);
+          return Mutation::AddEdge(
+              r.a % n, r.b % n,
+              {PropertyValue(static_cast<int64_t>(r.c % 16)),
+               PropertyValue(kind), PropertyValue(std::string(kTags[kind]))});
         }
-        break;
-      }
-      default: {  // set edge property
-        if (m == 0) continue;
-        const EdgeId target = r.a % m;
-        switch (r.b % 3) {
-          case 0:
-            candidate = Mutation::SetEdgeProperty(
-                target, "w", PropertyValue(static_cast<int64_t>(r.c % 16)));
-            break;
-          case 1:
-            candidate = Mutation::SetEdgeProperty(
-                target, "kind", PropertyValue(static_cast<int64_t>(r.c % 3)));
-            break;
-          default:
-            candidate = Mutation::SetEdgeProperty(
-                target, "tag", PropertyValue(std::string(kTags[r.c % 3])));
-            break;
+        case 3:  // remove edge
+          if (m == 0) return std::nullopt;
+          return Mutation::RemoveEdge(r.a % m);
+        case 4:  // set node property
+          if (r.b % 2 == 0) {
+            return Mutation::SetNodeProperty(
+                r.a % n, "grp", PropertyValue(static_cast<int64_t>(r.c % 5)));
+          }
+          return Mutation::SetNodeProperty(r.a % n, "hub",
+                                           PropertyValue(r.c % 2 == 0));
+        default: {  // set edge property
+          if (m == 0) return std::nullopt;
+          const EdgeId target = r.a % m;
+          switch (r.b % 3) {
+            case 0:
+              return Mutation::SetEdgeProperty(
+                  target, "w", PropertyValue(static_cast<int64_t>(r.c % 16)));
+            case 1:
+              return Mutation::SetEdgeProperty(
+                  target, "kind",
+                  PropertyValue(static_cast<int64_t>(r.c % 3)));
+            default:
+              return Mutation::SetEdgeProperty(
+                  target, "tag", PropertyValue(std::string(kTags[r.c % 3])));
+          }
         }
-        break;
       }
-    }
+    }();
+    if (!candidate) continue;
     // Keep the mutation only if the whole batch stays valid (e.g. a target
     // may be dead, or removed earlier in this very batch).
-    batch.push_back(std::move(candidate));
+    batch.push_back(std::move(*candidate));
     if (!CheckMutationBatch(graph, batch).ok()) batch.pop_back();
   }
   return batch;

@@ -1,10 +1,7 @@
 #include "views/executor.h"
 
 #include <algorithm>
-#include <iomanip>
 #include <memory>
-#include <set>
-#include <sstream>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -35,62 +32,6 @@ std::map<std::string, uint64_t> OpNanosDelta(
 }
 
 }  // namespace
-
-std::string ExecutionResult::Profile() const {
-  std::set<std::string> op_set;
-  for (const ViewRunStats& v : per_view) {
-    for (const auto& [name, _] : v.op_nanos) op_set.insert(name);
-  }
-  std::vector<std::string> ops(op_set.begin(), op_set.end());
-
-  std::ostringstream out;
-  out << std::fixed;
-  auto ms = [](uint64_t nanos) { return static_cast<double>(nanos) / 1e6; };
-
-  out << std::left << std::setw(6) << "view" << std::setw(9) << "mode"
-      << std::right << std::setw(11) << "ms";
-  for (const std::string& op : ops) {
-    out << std::setw(std::max<int>(11, static_cast<int>(op.size()) + 2)) << op;
-  }
-  out << "\n";
-
-  std::map<std::string, uint64_t> totals;
-  double total_view_seconds = 0;
-  for (size_t i = 0; i < per_view.size(); ++i) {
-    const ViewRunStats& v = per_view[i];
-    total_view_seconds += v.seconds;
-    out << std::left << std::setw(6) << i << std::setw(9)
-        << (v.ran_scratch ? "scratch" : "diff") << std::right
-        << std::setprecision(3) << std::setw(11) << v.seconds * 1e3;
-    for (const std::string& op : ops) {
-      auto it = v.op_nanos.find(op);
-      const uint64_t nanos = it == v.op_nanos.end() ? 0 : it->second;
-      totals[op] += nanos;
-      out << std::setw(std::max<int>(11, static_cast<int>(op.size()) + 2))
-          << ms(nanos);
-    }
-    out << "\n";
-  }
-
-  out << std::left << std::setw(6) << "TOTAL" << std::setw(9) << ""
-      << std::right << std::setw(11) << total_view_seconds * 1e3;
-  uint64_t op_total_nanos = 0;
-  for (const std::string& op : ops) {
-    op_total_nanos += totals[op];
-    out << std::setw(std::max<int>(11, static_cast<int>(op.size()) + 2))
-        << ms(totals[op]);
-  }
-  out << "\n";
-
-  out << std::setprecision(3) << "end_to_end_ms=" << total_seconds * 1e3
-      << " operator_ms=" << ms(op_total_nanos)
-      << " views=" << per_view.size() << " splits=" << num_splits
-      << " updates=" << engine_stats.updates_published
-      << " exchanged_bytes=" << engine_stats.exchanged_bytes
-      << " arrangement_probes=" << engine_stats.arrangement_probes
-      << " spine_merges=" << engine_stats.trace_spine_merges << "\n";
-  return out.str();
-}
 
 StatusOr<ExecutionResult> RunOnCollection(
     const analytics::Computation& computation, const PropertyGraph& graph,

@@ -103,12 +103,6 @@ struct ExecutionResult {
   std::vector<uint64_t> per_worker_events;
   /// Per-view results (only when ExecutionOptions::capture_results).
   std::vector<analytics::ResultMap> results;
-
-  /// Human-readable profiling report: a per-view × per-operator wall-time
-  /// table (milliseconds), one row per view plus a TOTAL row, followed by
-  /// the run's headline engine counters. The per-operator columns cover the
-  /// union of operators seen across views.
-  std::string Profile() const;
 };
 
 /// Runs `computation` over all views of `collection` (defined over

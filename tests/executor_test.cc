@@ -215,13 +215,6 @@ TEST(ExecutorTest, ProfileAccountsForEndToEndTime) {
   EXPECT_GT(op_seconds, view_seconds * 0.9)
       << "profiled operator time " << op_seconds << "s accounts for < 90% of "
       << view_seconds << "s end-to-end";
-
-  // And the rendered report carries the table and the headline counters.
-  std::string report = result->Profile();
-  EXPECT_NE(report.find("view"), std::string::npos);
-  EXPECT_NE(report.find("TOTAL"), std::string::npos);
-  EXPECT_NE(report.find("end_to_end_ms="), std::string::npos);
-  EXPECT_NE(report.find("exchanged_bytes="), std::string::npos);
 }
 
 TEST(ExecutorTest, ProfileCoversScratchAndShardedRuns) {
@@ -239,8 +232,6 @@ TEST(ExecutorTest, ProfileCoversScratchAndShardedRuns) {
         EXPECT_FALSE(v.op_nanos.empty())
             << splitting::StrategyName(strategy) << " workers=" << workers;
       }
-      std::string report = result->Profile();
-      EXPECT_NE(report.find("TOTAL"), std::string::npos);
     }
   }
 }

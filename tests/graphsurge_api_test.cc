@@ -192,6 +192,22 @@ TEST_F(GraphsurgeApiTest, Errors) {
                 .Execute("create view collection V on Calls [a: year = 1]")
                 .code(),
             StatusCode::kAlreadyExists);
+  // Arguments past what the computations support are statement errors: an
+  // iteration count that does not fit 32 bits would wrap (2^32 to 0), and
+  // MPSP packs at most 256 pair indexes into its result keys.
+  std::string pairs = "0:1";
+  for (int i = 1; i < 256; ++i) pairs += ",0:1";
+  Graphsurge::Session session;
+  for (const std::string& statement :
+       {std::string("run pagerank(4294967296) on Calls"),
+        "run mpsp(" + pairs + ",0:1) on Calls"}) {
+    EXPECT_EQ(system_.Execute(&session, statement).status().code(),
+              StatusCode::kInvalidArgument)
+        << statement;
+  }
+  auto most_pairs =
+      system_.Execute(&session, "run mpsp(" + pairs + ") on Calls");
+  EXPECT_TRUE(most_pairs.ok()) << most_pairs.status().ToString();
 }
 
 TEST_F(GraphsurgeApiTest, RunChecksTheWeightColumn) {
@@ -232,26 +248,6 @@ TEST_F(GraphsurgeApiTest, RunChecksTheWeightColumn) {
   EXPECT_NE(got, analytics::SsspReference(unweighted, 0));
 }
 
-TEST_F(GraphsurgeApiTest, ProfileReportsLastRun) {
-  // Before any computation, Profile carries no per-view table.
-  EXPECT_EQ(system_.Profile().find("view  mode"), std::string::npos);
-
-  ASSERT_TRUE(system_
-                  .Execute("create view collection durations on Calls "
-                           "[d5: duration <= 5], [d15: duration <= 15], "
-                           "[d34: duration <= 34]")
-                  .ok());
-  analytics::Wcc wcc;
-  auto result = system_.RunComputation(wcc, "durations");
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-
-  std::string profile = system_.Profile();
-  // The per-view table from the last run.
-  EXPECT_NE(profile.find("view  mode"), std::string::npos);
-  EXPECT_NE(profile.find("TOTAL"), std::string::npos);
-  EXPECT_NE(profile.find("end_to_end_ms="), std::string::npos);
-}
-
 TEST_F(GraphsurgeApiTest, ExplainBeforeAndAfterRun) {
   ASSERT_TRUE(system_
                   .Execute("create view collection durations on Calls "
@@ -268,18 +264,26 @@ TEST_F(GraphsurgeApiTest, ExplainBeforeAndAfterRun) {
   EXPECT_NE(before->find("est |dC|"), std::string::npos);
   EXPECT_NE(before->find("no recorded run"), std::string::npos);
   EXPECT_EQ(before->find("actual in"), std::string::npos);
+  EXPECT_EQ(before->find("reduce"), std::string::npos);
 
   analytics::Wcc wcc;
   auto result = system_.RunComputation(wcc, "durations");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  // After a run: estimated-vs-actual diff counts plus the splitting
-  // decision table. The statement form must resolve too.
-  auto after = system_.Explain("explain durations");
+  // After a run: the run's report. Estimated-vs-actual diff counts, one
+  // column of milliseconds per operator, the engine counters and the
+  // splitting decision table.
+  auto after = system_.Explain("durations");
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_NE(after->find("actual in"), std::string::npos);
   EXPECT_NE(after->find("actual out"), std::string::npos);
+  for (const auto& [op, _] : result->per_view[0].op_nanos) {
+    EXPECT_NE(after->find(" " + op), std::string::npos) << op << *after;
+  }
+  EXPECT_NE(after->find("  reduce"), std::string::npos) << *after;
   EXPECT_NE(after->find("last run: strategy="), std::string::npos);
+  EXPECT_NE(after->find(" updates="), std::string::npos);
+  EXPECT_NE(after->find(" exchanged_bytes="), std::string::npos);
   EXPECT_EQ(after->find("no recorded run"), std::string::npos);
 
   // EXPLAIN is a GVDL statement: Execute() accepts it (the rendering goes

@@ -8,11 +8,16 @@ namespace gs {
 namespace {
 
 TEST(PropertyValueTest, TypesAndAccessors) {
-  EXPECT_TRUE(PropertyValue().is_null());
-  EXPECT_EQ(PropertyValue(int64_t{5}).AsInt(), 5);
-  EXPECT_EQ(PropertyValue(2.5).AsDouble(), 2.5);
-  EXPECT_EQ(PropertyValue("hi").AsString(), "hi");
-  EXPECT_TRUE(PropertyValue(true).AsBool());
+  const PropertyValue null_value;
+  const PropertyValue int_value(int64_t{5});
+  const PropertyValue double_value(2.5);
+  const PropertyValue string_value("hi");
+  const PropertyValue bool_value(true);
+  EXPECT_TRUE(null_value.is_null());
+  EXPECT_EQ(int_value.AsInt(), 5);
+  EXPECT_EQ(double_value.AsDouble(), 2.5);
+  EXPECT_EQ(string_value.AsString(), "hi");
+  EXPECT_TRUE(bool_value.AsBool());
 }
 
 TEST(PropertyValueTest, NumericCrossTypeComparison) {

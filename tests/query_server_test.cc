@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "algorithms/reference.h"
 #include "differential/arrcache.h"
 #include "graph/generators.h"
+#include "json_lite.h"
 #include "test_util.h"
 #include "views/executor.h"
 
@@ -40,6 +43,14 @@ HttpReply Query(uint16_t port, const std::string& session,
   return HttpPost(port, "/query",
                   "{\"session\": \"" + session + "\", \"statement\": \"" +
                       statement + "\"}");
+}
+
+/// The whitespace-separated words of `line`.
+std::vector<std::string> Words(const std::string& line) {
+  std::istringstream in(line);
+  std::vector<std::string> words;
+  for (std::string word; in >> word;) words.push_back(word);
+  return words;
 }
 
 /// The arrangement-cache tag of a `run wcc on G` statement: one worker, no
@@ -237,6 +248,61 @@ TEST_F(QueryServerTest, ExplainShowsPlanAndLastRun) {
   EXPECT_EQ(Query(server_.port(), "t", "explain C").status_code, 400);
 }
 
+// A collection run's report is EXPLAIN in the session that ran it: each
+// view's milliseconds per operator. No page serves one run to every client.
+TEST_F(QueryServerTest, RunReportIsTheSessionsOwn) {
+  const std::string collection =
+      "create view collection C on G [small: weight < 30], "
+      "[all: weight < 200]";
+  ASSERT_EQ(Query(server_.port(), "s", collection).status_code, 200);
+  ASSERT_EQ(Query(server_.port(), "s", "run wcc on C").status_code, 200);
+  HttpReply reply = Query(server_.port(), "s", "explain C");
+  ASSERT_EQ(reply.status_code, 200) << reply.body;
+  json_lite::Value body;
+  std::string error;
+  ASSERT_TRUE(json_lite::Parse(reply.body, &body, &error)) << error;
+  ASSERT_NE(body.Get("plan"), nullptr);
+  const std::string& plan = body.Get("plan")->string;
+
+  // The header names every operator after the "ms" column, WCC's join and
+  // reduce among them; each view's row has one number per column.
+  std::istringstream lines(plan);
+  std::string line;
+  do {
+    ASSERT_TRUE(std::getline(lines, line)) << plan;
+  } while (line.rfind("pos ", 0) != 0);
+  const std::vector<std::string> header = Words(line);
+  auto ms = std::find(header.begin(), header.end(), "ms");
+  ASSERT_NE(ms, header.end()) << plan;
+  const std::vector<std::string> ops(ms + 1, header.end());
+  EXPECT_NE(std::find(ops.begin(), ops.end(), "join_arranged"), ops.end());
+  EXPECT_NE(std::find(ops.begin(), ops.end(), "reduce"), ops.end());
+  for (const std::string view : {"small", "all"}) {
+    ASSERT_TRUE(std::getline(lines, line)) << plan;
+    // pos, view, def#, est |GV|, est |dC|, mode, in, out, ms, then ops.
+    std::vector<std::string> row = Words(line);
+    ASSERT_EQ(row.size(), 9 + ops.size()) << line;
+    EXPECT_EQ(row[1], view);
+    for (size_t i = 9; i < row.size(); ++i) {
+      EXPECT_GE(std::stod(row[i]), 0.0) << ops[i - 9] << ": " << line;
+    }
+  }
+
+  // Another session has no collection C, and one that defines its own C
+  // reads its own plan, not s's run.
+  EXPECT_EQ(Query(server_.port(), "t", "explain C").status_code, 400);
+  ASSERT_EQ(Query(server_.port(), "u", collection).status_code, 200);
+  HttpReply other = Query(server_.port(), "u", "explain C");
+  ASSERT_EQ(other.status_code, 200) << other.body;
+  EXPECT_NE(other.body.find("no recorded run"), std::string::npos);
+  EXPECT_EQ(other.body.find("reduce"), std::string::npos) << other.body;
+
+  EXPECT_EQ(HttpGet(server_.port(), "/profilez").status_code, 404);
+  ASSERT_TRUE(StatusServer::Global().Start(0).ok());
+  EXPECT_EQ(HttpGet(StatusServer::Global().port(), "/profilez").status_code,
+            404);
+}
+
 TEST_F(QueryServerTest, AggregateViewsAreServed) {
   HttpReply created = Query(server_.port(), "s",
                             "create view A on Calls nodes group by city "
@@ -321,6 +387,17 @@ TEST_F(QueryServerTest, StatementErrorsAreClientErrors) {
   EXPECT_EQ(Query(server_.port(), "s", "explain NoSuchCollection")
                 .status_code,
             400);
+  // Arguments past what the computations support: a 2^32 iteration count
+  // and 257 MPSP pairs are rejected, and the server keeps serving.
+  std::string pairs = "0:1";
+  for (int i = 1; i < 257; ++i) pairs += ",0:1";
+  for (const std::string& statement :
+       {std::string("run pagerank(4294967296) on G"),
+        "run mpsp(" + pairs + ") on G"}) {
+    EXPECT_EQ(Query(server_.port(), "s", statement).status_code, 400)
+        << statement;
+    EXPECT_EQ(HttpGet(server_.port(), "/healthz").status_code, 200);
+  }
   // Names are unique across the session and the host graphs.
   EXPECT_EQ(Query(server_.port(), "s", "create view G on G edges where "
                                         "weight < 5")
@@ -369,26 +446,11 @@ TEST_F(QueryServerTest, StatusPagesServedFromSameListener) {
 
   EXPECT_EQ(HttpGet(server_.port(), "/healthz").body, "ok\n");
 
-  // /profilez renders the host system's profile: after a collection run,
-  // that run's per-view table (header row, one row per view, TOTAL).
-  ASSERT_EQ(Query(server_.port(), "s",
-                  "create view collection C on G [light: weight < 30], "
-                  "[all: weight < 200]")
-                .status_code,
-            200);
-  ASSERT_EQ(Query(server_.port(), "s", "run wcc on C").status_code, 200);
-  HttpReply profile = HttpGet(server_.port(), "/profilez");
-  ASSERT_EQ(profile.status_code, 200);
-  EXPECT_EQ(profile.body.rfind("view", 0), 0u) << profile.body;
-  EXPECT_NE(profile.body.find("\n0 "), std::string::npos) << profile.body;
-  EXPECT_NE(profile.body.find("\n1 "), std::string::npos) << profile.body;
-  EXPECT_NE(profile.body.find("\nTOTAL"), std::string::npos) << profile.body;
-
   // The index lists every page the listener serves, this front end's too.
   HttpReply index = HttpGet(server_.port(), "/");
   ASSERT_EQ(index.status_code, 200);
   for (const char* path : {"/healthz", "/metrics", "/statusz", "/tracez",
-                           "/profilez", "/sessionz"}) {
+                           "/sessionz"}) {
     EXPECT_NE(index.body.find(std::string("  ") + path + "\n"),
               std::string::npos)
         << path << " missing from:\n" << index.body;

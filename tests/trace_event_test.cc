@@ -57,17 +57,16 @@ TEST_F(TraceEventTest, EmptyDumpIsValidJson) {
   EXPECT_EQ(root.Get("displayTimeUnit")->string, "ms");
 }
 
-TEST_F(TraceEventTest, RecordsSpanInstantAndCounter) {
+TEST_F(TraceEventTest, RecordsSpanAndInstant) {
   SetEnabled(true);
   { Span span("cat_span", "my_span", /*version=*/3); }
   AddInstantEvent("cat_instant", "my_instant");
-  AddCounterEvent("cat_counter", "my_counter", 42);
   SetEnabled(false);
 
   json_lite::Value root = ParseTrace(ToJson());
   const json_lite::Value* events = root.Get("traceEvents");
   ASSERT_NE(events, nullptr);
-  ASSERT_EQ(events->array.size(), 3u);
+  ASSERT_EQ(events->array.size(), 2u);
 
   // Chrome trace-event required fields on every event.
   for (const json_lite::Value& e : events->array) {
@@ -90,11 +89,6 @@ TEST_F(TraceEventTest, RecordsSpanInstantAndCounter) {
   const json_lite::Value& instant = events->array[1];
   EXPECT_EQ(instant.Get("ph")->string, "i");
   EXPECT_EQ(instant.Get("name")->string, "my_instant");
-
-  const json_lite::Value& counter = events->array[2];
-  EXPECT_EQ(counter.Get("ph")->string, "C");
-  ASSERT_NE(counter.Get("args"), nullptr);
-  EXPECT_EQ(counter.Get("args")->Get("value")->number, 42);
 }
 
 TEST_F(TraceEventTest, LongNamesAreTruncatedNotCorrupted) {
